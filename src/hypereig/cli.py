@@ -14,7 +14,6 @@ and seed).  Exit codes: 0 success (including empty results), 2 input error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -36,21 +35,18 @@ from .pencil_eigen import (
     DegeneratePencilError,
     EigenClass,
     Pencil,
-    classify,
     essential_eigenvalues_real,
     generic_rank,
-    kernel_basis,
+    solution_at,
 )
 from .stp_core import stp
 from .u_eigen import (
     IterationBreakdown,
     IterationState,
-    case_pencil,
-    d_solve,
     iterate_least_squares,
     options_from_dict,
     problem_from_dict,
-    u_solve,
+    solve,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -58,16 +54,13 @@ __all__ = ["RunConfig", "main"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective run settings: command, paths, tolerances, probes, output format."""
+    """Effective run settings: output path, tolerances, probes, output format."""
 
-    command: str
-    inputs: tuple[str, ...]
     output: str | None = None
     rank_tol: float | None = None
     residual_tol: float | None = None
     recon_tol: float | None = None
     quasi_probes: int | None = None
-    rank_probes: int | None = None
     seed: int = 42
     eps: float | None = None
     max_iter: int | None = None
@@ -274,25 +267,21 @@ def _cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list
 def _pencil_evaluation(
     pencil: Pencil, lam: float, rg: int, rank_tol: float | None
 ) -> dict:
-    basis = kernel_basis(pencil, lam, rank_tol)
-    cls = classify(pencil, lam, rg=rg, tol=rank_tol)
-    residual = (
-        max(float(np.linalg.norm(pencil.at(lam) @ v)) for v in basis) if basis else 0.0
-    )
+    sol = solution_at(pencil, lam, rg=rg, rank_tol=rank_tol)
+    kernel = list(sol.kernel) if sol is not None else []
     return {
         "lambda": lam,
-        "class": cls.value if cls is not None else None,
-        "kernel_dim": len(basis),
-        "kernel": [v for v in basis],
-        "residual": residual,
+        "class": sol.eigen_class.value if sol is not None else None,
+        "kernel_dim": len(kernel),
+        "kernel": kernel,
+        "residual": sol.residual if sol is not None else 0.0,
     }
 
 
 def _cmd_pencil(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
     a, b = np.atleast_2d(_load_matrix(args.a)), np.atleast_2d(_load_matrix(args.b))
     pencil = Pencil(a, b)
-    probes = cfg.rank_probes if cfg.rank_probes is not None else 5
-    rg = generic_rank(pencil, probes=probes, seed=cfg.seed, rank_tol=cfg.rank_tol)
+    rg = generic_rank(pencil, seed=cfg.seed, rank_tol=cfg.rank_tol)
     essential = essential_eigenvalues_real(
         pencil, rank_tol=cfg.rank_tol, seed=cfg.seed
     )
@@ -381,39 +370,9 @@ def _solve_options(problem_dict: dict, cfg: RunConfig):
         residual_tol=cfg.residual_tol,
         recon_tol=cfg.recon_tol,
         quasi_probes=cfg.quasi_probes,
-        rank_probes=cfg.rank_probes,
         eps=cfg.eps,
         max_iter=cfg.max_iter,
     )
-
-
-def _case_sections(prob, opts) -> list[dict]:
-    if prob.mode == "D":
-        cases = [(e0,) for e0 in range(1, prob.n + 1)]
-    else:
-        cases = list(
-            itertools.product(range(1, prob.n + 1), repeat=prob.type_map.r)
-        )
-    sections = []
-    for case in cases:
-        pencil = case_pencil(prob, case)
-        rg = generic_rank(
-            pencil, probes=opts.rank_probes, seed=opts.seed, rank_tol=opts.rank_tol
-        )
-        essential = essential_eigenvalues_real(
-            pencil, rank_tol=opts.rank_tol, seed=opts.seed
-        )
-        sections.append(
-            {
-                "case": list(case),
-                "generic_rank": rg,
-                "essential": [
-                    _pencil_evaluation(pencil, lam, rg, opts.rank_tol)
-                    for lam in essential
-                ],
-            }
-        )
-    return sections
 
 
 def _cmd_solve(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
@@ -422,8 +381,19 @@ def _cmd_solve(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str
     opts = _solve_options(pd, cfg)
     if args.iterate and not args.x0:
         raise ValueError("--iterate requires --x0 with a start vector")
-    witnesses = d_solve(prob, opts) if prob.mode == "D" else u_solve(prob, opts)
-    sections = _case_sections(prob, opts)
+    result = solve(prob, opts)
+    witnesses = result.witnesses
+    sections = [
+        {
+            "case": list(facts.case),
+            "generic_rank": facts.generic_rank,
+            "essential": [
+                _pencil_evaluation(facts.pencil, lam, facts.generic_rank, opts.rank_tol)
+                for lam in facts.essential
+            ],
+        }
+        for facts in result.cases
+    ]
     report = {
         "command": "solve",
         "mode": prob.mode,
@@ -580,12 +550,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = RunConfig(
-            command=args.command,
-            inputs=tuple(
-                getattr(args, name)
-                for name in ("a", "b", "hmx", "vector", "problem")
-                if getattr(args, name, None)
-            ),
             output=args.output,
             rank_tol=args.rank_tol,
             residual_tol=args.residual_tol,

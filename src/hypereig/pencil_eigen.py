@@ -35,9 +35,10 @@ __all__ = [
     "numerical_rank",
     "psi_reduction",
     "square_pencil_eigen",
+    "svd_rank",
 ]
 
-#: Multiplier on the machine-epsilon rank threshold (see :func:`numerical_rank`).
+#: Multiplier on the machine-epsilon rank threshold (see :func:`svd_rank`).
 RANK_TOL_SCALE = 1e3
 
 #: Number of adaptive widenings of the root-search interval.
@@ -99,20 +100,30 @@ class EigenSolution:
     residual: float = 0.0
 
 
-def numerical_rank(m: np.ndarray, rank_tol: float | None = None) -> int:
-    """Rank by SVD with threshold ``max(shape)·ε·σ_max·1e3`` (or an explicit ``rank_tol``)."""
-    mat = np.atleast_2d(np.asarray(m, dtype=float))
-    if mat.size == 0:
-        return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
+def svd_rank(
+    svals: np.ndarray, shape: tuple[int, ...], rank_tol: float | None = None
+) -> int:
+    """Count of singular values (descending) of a ``shape`` matrix above the rank threshold.
+
+    The threshold is ``max(shape)·ε·σ_max·RANK_TOL_SCALE``, or an explicit
+    ``rank_tol``; a matrix with no positive singular value has rank 0.
+    """
+    if not (svals.size and svals[0] > 0.0):
         return 0
     tol = (
-        max(mat.shape) * np.finfo(float).eps * svals[0] * RANK_TOL_SCALE
+        max(shape) * np.finfo(float).eps * svals[0] * RANK_TOL_SCALE
         if rank_tol is None
         else float(rank_tol)
     )
     return int(np.count_nonzero(svals > tol))
+
+
+def numerical_rank(m: np.ndarray, rank_tol: float | None = None) -> int:
+    """Rank by SVD with the :func:`svd_rank` threshold."""
+    mat = np.atleast_2d(np.asarray(m, dtype=float))
+    if mat.size == 0:
+        return 0
+    return svd_rank(np.linalg.svd(mat, compute_uv=False), mat.shape, rank_tol)
 
 
 def generic_rank(
@@ -357,16 +368,8 @@ def kernel_basis(
     m = p.at(lam)
     if np.iscomplexobj(m) and np.max(np.abs(m.imag)) == 0.0:
         m = m.real
-    u, svals, vh = np.linalg.svd(m)
-    if svals.size and svals[0] > 0.0:
-        threshold = (
-            max(m.shape) * np.finfo(float).eps * svals[0] * RANK_TOL_SCALE
-            if rank_tol is None
-            else float(rank_tol)
-        )
-        rank = int(np.count_nonzero(svals > threshold))
-    else:
-        rank = 0
+    _, svals, vh = np.linalg.svd(m)
+    rank = svd_rank(svals, m.shape, rank_tol)
     basis = [vh[i].conj() for i in range(rank, m.shape[1])]
     if all(np.max(np.abs(v.imag)) == 0.0 for v in basis if np.iscomplexobj(v)):
         basis = [np.real(v) for v in basis]

@@ -7,12 +7,19 @@ whose composition ``B̃`` satisfies ``B̃·xˢ = (B_1 x) ⊗ … ⊗ (B_s x)``. 
 diagonal monic arguments) convert both sides to a common power of the
 unknown, turning the problem into a linear pencil in ``ξ``.
 
-Two drivers search pencil kernels for structured eigenvectors:
+One driver, :func:`solve`, enumerates the anchor cases of the problem's
+mode once, builds each case's original equation and pencil, records the
+pencil's generic rank and real essential eigenvalues, and searches the
+pencil kernels for structured eigenvectors:
 
-* :func:`d_solve` — diagonal witnesses ``x = z ⊗ … ⊗ z`` (one anchor case per
+* D mode — diagonal witnesses ``x = z ⊗ … ⊗ z`` (one anchor case per
   leading index of ``z``);
-* :func:`u_solve` — decomposable witnesses ``x = x_1 ⊗ … ⊗ x_r`` (one case
-  per tuple of component leading indices).
+* U mode — decomposable witnesses ``x = x_1 ⊗ … ⊗ x_r`` (one case per tuple
+  of component leading indices).
+
+It returns the per-case pencil facts and the witnesses.  :func:`d_solve`,
+:func:`u_solve` (witnesses only, in a fixed mode) and :func:`case_pencil`
+(one case's pencil) are thin entry points into the same code.
 
 The kernel search is deliberately not exhaustive (decomposable points of a
 subspace form a polynomial variety): it tests kernel basis vectors, scans
@@ -53,16 +60,19 @@ from .hypervector import (
 from .pencil_eigen import (
     Pencil,
     essential_eigenvalues_real,
+    generic_rank,
     kernel_basis,
-    RANK_TOL_SCALE,
+    svd_rank,
 )
 from .stp_core import basis_vector, stp, stp_power
 
 __all__ = [
+    "CaseFacts",
     "EigenWitness",
     "IterationBreakdown",
     "IterationState",
     "SolveOptions",
+    "SolveResult",
     "TypeMap",
     "UEigenProblem",
     "build_d_pencil",
@@ -75,6 +85,7 @@ __all__ = [
     "problem_from_dict",
     "problem_to_dict",
     "raise_power",
+    "solve",
     "type_h",
     "type_inner_product",
     "type_markov",
@@ -166,6 +177,14 @@ def type_inner_product(n: int, r: int = 3) -> np.ndarray:
     return b
 
 
+def _require_finite_norm(m: np.ndarray, what: str) -> None:
+    """Reject a matrix whose norm is not finite, without NumPy's overflow warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m))
+    if not math.isfinite(norm):
+        raise ValueError(f"{what} has a non-finite norm (entries too large or not finite)")
+
+
 @dataclass(frozen=True)
 class TypeMap:
     """Multilinear right-hand-side map: ``s`` factor matrices over degree-``r`` input.
@@ -202,6 +221,7 @@ class TypeMap:
                 raise ValueError(
                     f"composed map has shape {composed.shape}, expected {(n**s, n**(r*s))}"
                 )
+        _require_finite_norm(composed, "the composed type map")
         for m in factors + (composed,):
             m.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -289,6 +309,7 @@ class UEigenProblem:
                 raise ValueError(
                     f"U mode requires the left power ({p}) to equal the type degree r={tm.r}"
                 )
+        _require_finite_norm(a, "A")
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
@@ -340,7 +361,6 @@ class SolveOptions:
     residual_tol: float = 1e-9
     recon_tol: float = 1e-8
     quasi_probes: int = 7
-    rank_probes: int = 5
     newton_starts: int = 12
     proj_starts: int = 6
     newton_max_iter: int = 60
@@ -358,6 +378,15 @@ class SolveOptions:
                 raise ValueError(f"option {name} must be positive")
         if self.rank_tol is not None and self.rank_tol <= 0:
             raise ValueError("option rank_tol must be positive")
+        counts = ("quasi_probes", "newton_starts", "proj_starts", "newton_max_iter", "max_iter")
+        for name in counts:
+            if getattr(self, name) < 0:
+                raise ValueError(f"option {name} must be non-negative")
+        for name in ("pair_angles", "max_pair_kernel_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"option {name} must be at least 1")
+        if not all(math.isfinite(v) for v in self.family_probes):
+            raise ValueError("option family_probes must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +477,12 @@ def _nullspace(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     """Orthonormal kernel basis as columns (possibly zero columns wide)."""
     mat = np.atleast_2d(np.asarray(m, dtype=float))
     _, svals, vh = np.linalg.svd(mat)
-    if svals.size and svals[0] > 0.0:
-        threshold = (
-            max(mat.shape) * np.finfo(float).eps * svals[0] * RANK_TOL_SCALE
-            if rank_tol is None
-            else float(rank_tol)
-        )
-        rank = int(np.count_nonzero(svals > threshold))
-    else:
-        rank = 0
-    return vh[rank:].T
+    return vh[svd_rank(svals, mat.shape, rank_tol) :].T
 
 
-def _lambda_candidates(pencil: Pencil, opts: SolveOptions) -> list[float]:
+def _lambda_candidates(essential: Sequence[float], opts: SolveOptions) -> list[float]:
     """Essential eigenvalues plus a deterministic sample of quasi values (incl. 0 and 1)."""
-    cands = list(
-        essential_eigenvalues_real(pencil, rank_tol=opts.rank_tol, seed=opts.seed)
-    )
+    cands = list(essential)
     rng = np.random.default_rng(opts.seed + 17)
     cands.extend(float(v) for v in rng.uniform(-3.0, 3.0, size=opts.quasi_probes))
     cands.extend([0.0, 1.0])
@@ -539,24 +557,99 @@ def _rank_one_factor(w: np.ndarray, n: int) -> bool:
 
 @dataclass
 class _Equation:
-    """The original equation ``lhs(args) = λ·rhs(args)`` over monic case components."""
+    """One anchor case: its pencil and the original equation ``lhs = λ·rhs``.
 
+    Both sides act on the case's monic components (``(z,)`` in D mode,
+    ``(x_1, …, x_r)`` in U mode).  ``pencil_power`` maps components to the
+    pencil variable ``ξ``; ``decomposition`` to the witness's monic
+    decomposition; ``components_of`` splits a pencil vector back into
+    components on this case, or returns None.
+    """
+
+    case: tuple[int, ...]
+    pencil: Pencil
     lhs: Callable[[Sequence[np.ndarray]], np.ndarray]
     rhs: Callable[[Sequence[np.ndarray]], np.ndarray]
-    n: int
-    anchors: tuple[int, ...]
     pencil_power: Callable[[Sequence[np.ndarray]], np.ndarray]
+    decomposition: Callable[[Sequence[np.ndarray]], MonicDecomposition]
+    components_of: Callable[[np.ndarray, float], list[np.ndarray] | None]
+    n: int
     scale: float
 
-    def residual(self, comps: Sequence[np.ndarray], lam: float) -> float:
-        return float(np.linalg.norm(self.lhs(comps) - lam * self.rhs(comps)))
 
-    def ls_lambda(self, comps: Sequence[np.ndarray]) -> float | None:
-        rhs = self.rhs(comps)
-        denom = float(rhs @ rhs)
-        if denom <= np.finfo(float).tiny:
+def _on_case(comps: Sequence[np.ndarray], case: tuple[int, ...]) -> list[np.ndarray] | None:
+    """The components as float arrays when their leading indices are ``case``."""
+    comps = [np.asarray(c, dtype=float) for c in comps]
+    try:
+        return comps if tuple(mu(c) for c in comps) == case else None
+    except ValueError:
+        return None
+
+
+def _case_equation(prob: UEigenProblem, case: tuple[int, ...]) -> _Equation:
+    """The equation and pencil of one anchor case, built for the problem's mode.
+
+    D mode, ``case = (e₀,)``: the unknown is ``z`` with ``ξ = z^t``,
+    ``t = max(p, q)``, and the pencil is homogenized by the anchored lowering
+    map.  U mode, ``case = (e_1, …, e_r)``: the unknowns are the components of
+    ``x = x_1 ⊗ … ⊗ x_r`` with ``ξ = xˢ``, and ``A`` is raised to power ``s``.
+    """
+    tm = prob.type_map
+    n, a, bt = prob.n, prob.a, tm.composed
+    scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(bt)))
+
+    if prob.mode == "D":
+        (e0,) = case
+        p, q = prob.lhs_power, tm.input_power
+        t = max(p, q)
+
+        def d_components(v: np.ndarray, recon_tol: float) -> list[np.ndarray] | None:
+            d = monic_decompose(v, (n,) * t, recon_tol)
+            if d is None or not is_diagonal(d):
+                return None
+            return _on_case(d.components[:1], case)
+
+        return _Equation(
+            case=case,
+            pencil=build_d_pencil(a, bt, n, p, q, e0),
+            lhs=lambda comps: a @ stp_power(comps[0], p),
+            rhs=lambda comps: bt @ stp_power(comps[0], q),
+            pencil_power=lambda comps: stp_power(comps[0], t),
+            decomposition=lambda comps: MonicDecomposition(
+                e=diagonal_index(e0, n, t), c0=1.0, components=(comps[0],) * t
+            ),
+            components_of=d_components,
+            n=n,
+            scale=scale,
+        )
+
+    r, s = tm.r, tm.s
+    e_x = index_join(case, n, r)
+
+    def u_components(v: np.ndarray, recon_tol: float) -> list[np.ndarray] | None:
+        d = monic_decompose(v, (n,) * (r * s), recon_tol)
+        if d is None:
             return None
-        return float((rhs @ self.lhs(comps)) / denom)
+        groups = [d.components[k * r : (k + 1) * r] for k in range(s)]
+        for other in groups[1:]:
+            for ca, cb in zip(groups[0], other):
+                if float(np.max(np.abs(ca - cb))) > 1e-7:
+                    return None
+        return _on_case(groups[0], case)
+
+    return _Equation(
+        case=case,
+        pencil=Pencil(raise_power(a, diagonal_index(e_x, n**r, s), n, r, s), bt),
+        lhs=lambda comps: a @ compose(comps),
+        rhs=lambda comps: bt @ stp_power(compose(comps), s),
+        pencil_power=lambda comps: stp_power(compose(comps), s),
+        decomposition=lambda comps: MonicDecomposition(
+            e=e_x, c0=1.0, components=tuple(comps)
+        ),
+        components_of=u_components,
+        n=n,
+        scale=scale,
+    )
 
 
 def _verify_witness(
@@ -564,13 +657,10 @@ def _verify_witness(
     comps: Sequence[np.ndarray],
     lam: float | None,
     opts: SolveOptions,
-    case: tuple[int, ...],
-    make_xi: Callable[[Sequence[np.ndarray]], np.ndarray],
-    decomposition_of: Callable[[Sequence[np.ndarray]], MonicDecomposition],
 ) -> EigenWitness | None:
     """Monic-anchor check + original-equation residual check; None when rejected."""
     comps = [np.asarray(c, dtype=float) + 0.0 for c in comps]  # +0.0 clears -0.0
-    for v, anchor in zip(comps, eq.anchors):
+    for v, anchor in zip(comps, eq.case):
         if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 1e8:
             return None
         if not _component_is_case_monic(v, anchor):
@@ -588,56 +678,52 @@ def _verify_witness(
     residual = float(np.linalg.norm(lhs - lam_final * rhs))
     if residual > atol:
         return None
-    decomp = decomposition_of(comps)
+    decomp = eq.decomposition(comps)
     return EigenWitness(
         lam=lam_final,
-        xi=make_xi(comps),
+        xi=eq.pencil_power(comps),
         decomposition=decomp,
         diagonal=is_diagonal(decomp),
         residual=residual,
-        case=case,
+        case=eq.case,
     )
 
 
 def _search_case(
-    eq: _Equation,
-    pencil: Pencil,
-    case: tuple[int, ...],
-    opts: SolveOptions,
-    accept: Callable[[Sequence[np.ndarray], float | None], EigenWitness | None],
-    comps_from_vector: Callable[[np.ndarray], list[np.ndarray] | None],
+    eq: _Equation, essential: Sequence[float], opts: SolveOptions
 ) -> list[EigenWitness]:
     """All kernel-search tactics for one anchor case of one problem."""
-    n = eq.n
+    n, case = eq.n, eq.case
     found: list[EigenWitness] = []
 
-    def add(w: EigenWitness | None) -> None:
+    def add(comps: Sequence[np.ndarray], lam: float | None) -> None:
+        w = _verify_witness(eq, comps, lam, opts)
         if w is not None:
             found.append(w)
 
-    free_sizes = [n - anchor for anchor in eq.anchors]
+    free_sizes = [n - anchor for anchor in case]
     total_free = sum(free_sizes)
 
     def unpack(u: np.ndarray) -> list[np.ndarray]:
         comps, pos = [], 0
-        for anchor, size in zip(eq.anchors, free_sizes):
+        for anchor, size in zip(case, free_sizes):
             comps.append(_embed_component(u[pos : pos + size], n, anchor))
             pos += size
         return comps
 
     rng = np.random.default_rng(opts.seed + 1009 * (index_join(case, n, len(case)) + 1))
 
-    for lam in _lambda_candidates(pencil, opts):
-        basis = kernel_basis(pencil, lam, opts.rank_tol)
+    for lam in _lambda_candidates(essential, opts):
+        basis = kernel_basis(eq.pencil, lam, opts.rank_tol)
         if not basis:
             continue
         kmat = np.column_stack(basis)
 
         # Tactic 1: kernel basis vectors through the decomposition certificate.
         for v in basis:
-            comps = comps_from_vector(v)
+            comps = eq.components_of(v, opts.recon_tol)
             if comps is not None:
-                add(accept(comps, lam))
+                add(comps, lam)
 
         # Tactic 2: two-vector combinations, screened by a rank-1 reshape test.
         if 2 <= kmat.shape[1] <= opts.max_pair_kernel_dim:
@@ -646,9 +732,9 @@ def _search_case(
                     w = math.cos(theta) * kmat[:, i] + math.sin(theta) * kmat[:, j]
                     if not _rank_one_factor(w, n):
                         continue
-                    comps = comps_from_vector(w)
+                    comps = eq.components_of(w, opts.recon_tol)
                     if comps is not None:
-                        add(accept(comps, lam))
+                        add(comps, lam)
 
         # Tactic 3: Gauss–Newton on the kernel-projection residual.
         if total_free:
@@ -664,7 +750,7 @@ def _search_case(
                 xi = eq.pencil_power(comps)
                 gap = float(np.linalg.norm(xi - kmat @ (kmat.T @ xi)))
                 if gap <= 1e-8 * max(1.0, float(np.linalg.norm(xi))):
-                    add(accept(comps, lam))
+                    add(comps, lam)
 
     # Tactic 4: Gauss–Newton on the original equation with λ free.
     for _ in range(opts.newton_starts):
@@ -675,28 +761,11 @@ def _search_case(
             return eq.lhs(comps) - w[-1] * eq.rhs(comps)
 
         w, _ = _gauss_newton(orig_resid, w0, opts.newton_max_iter)
-        add(accept(unpack(w[:-1]), float(w[-1])))
+        add(unpack(w[:-1]), float(w[-1]))
         # Re-fit λ by least squares in case the Newton λ drifted.
-        add(accept(unpack(w[:-1]), None))
+        add(unpack(w[:-1]), None)
 
     return found
-
-
-def _dedup(witnesses: list[EigenWitness], tol: float) -> list[EigenWitness]:
-    kept: list[EigenWitness] = []
-    for w in sorted(witnesses, key=lambda w: w.residual):
-        duplicate = False
-        for prev in kept:
-            if w.case != prev.case:
-                continue
-            if abs(w.lam - prev.lam) > tol * max(1.0, abs(prev.lam)):
-                continue
-            if w.xi.shape == prev.xi.shape and float(np.max(np.abs(w.xi - prev.xi))) <= tol:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(w)
-    return kept
 
 
 def _sorted_witnesses(witnesses: list[EigenWitness]) -> list[EigenWitness]:
@@ -812,11 +881,11 @@ def _tag_families(
     tagged = [
         replace(w, family=tags[i]) if i in tags else w for i, w in enumerate(witnesses)
     ]
-    return _dedup_preserve_tags(tagged + extra, opts.dedup_tol)
+    return _dedup(tagged + extra, opts.dedup_tol)
 
 
-def _dedup_preserve_tags(witnesses: list[EigenWitness], tol: float) -> list[EigenWitness]:
-    """Deduplicate, preferring tagged (family) records over untagged duplicates."""
+def _dedup(witnesses: list[EigenWitness], tol: float) -> list[EigenWitness]:
+    """Deduplicate, preferring tagged (family) records, then lower residuals."""
     kept: list[EigenWitness] = []
     for w in sorted(witnesses, key=lambda w: (w.family is None, w.residual)):
         duplicate = False
@@ -835,184 +904,77 @@ def _dedup_preserve_tags(witnesses: list[EigenWitness], tol: float) -> list[Eige
 
 
 # ---------------------------------------------------------------------------
-# Drivers
+# Driver
 # ---------------------------------------------------------------------------
 
 
-def _d_equation(prob: UEigenProblem, e0: int) -> tuple[_Equation, Pencil]:
-    tm = prob.type_map
-    n, p, q = prob.n, prob.lhs_power, tm.input_power
-    t = max(p, q)
-    a, bt = prob.a, tm.composed
-    scale = max(
-        1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(bt))
-    )
-    eq = _Equation(
-        lhs=lambda comps: a @ stp_power(comps[0], p),
-        rhs=lambda comps: bt @ stp_power(comps[0], q),
-        n=n,
-        anchors=(e0,),
-        pencil_power=lambda comps: stp_power(comps[0], t),
-        scale=scale,
-    )
-    return eq, build_d_pencil(a, bt, n, p, q, e0)
+@dataclass(frozen=True)
+class CaseFacts:
+    """One anchor case's pencil with its generic rank and real essential eigenvalues."""
+
+    case: tuple[int, ...]
+    pencil: Pencil = field(repr=False)
+    generic_rank: int
+    essential: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """What :func:`solve` found: per-case pencil facts (in case order) and witnesses."""
+
+    cases: tuple[CaseFacts, ...]
+    witnesses: list[EigenWitness]
+
+
+def _cases(prob: UEigenProblem) -> list[tuple[int, ...]]:
+    """Anchor cases: leading index ``(e₀,)`` in D mode, ``(e_1, …, e_r)`` in U mode."""
+    width = 1 if prob.mode == "D" else prob.type_map.r
+    return list(itertools.product(range(1, prob.n + 1), repeat=width))
+
+
+def solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> SolveResult:
+    """Monic eigenpairs of the problem in its mode, with each case's pencil facts.
+
+    Every anchor case's pencil is searched at its essential eigenvalues and
+    at sampled quasi values; the kernel tactics and a free-λ Gauss–Newton
+    refinement produce candidates, each verified against the original
+    equation at ``opts.residual_tol``.  Verified witnesses are deduplicated,
+    λ-free vectors are merged into one row, and one-parameter families are
+    probed and tagged.  An empty witness list is a valid outcome.
+    """
+    opts = opts or SolveOptions()
+    equations: dict[tuple[int, ...], _Equation] = {}
+    facts: list[CaseFacts] = []
+    witnesses: list[EigenWitness] = []
+    for case in _cases(prob):
+        eq = equations[case] = _case_equation(prob, case)
+        essential = essential_eigenvalues_real(
+            eq.pencil, rank_tol=opts.rank_tol, seed=opts.seed
+        )
+        rg = generic_rank(eq.pencil, seed=opts.seed, rank_tol=opts.rank_tol)
+        facts.append(CaseFacts(case, eq.pencil, rg, tuple(essential)))
+        witnesses.extend(_search_case(eq, essential, opts))
+
+    def reverify(case, comps, lam):
+        return _verify_witness(equations[case], comps[: len(case)], lam, opts)
+
+    witnesses = _dedup(witnesses, opts.dedup_tol)
+    witnesses = _merge_lambda_lines(witnesses, reverify, opts)
+    witnesses = _tag_families(witnesses, reverify, opts)
+    return SolveResult(tuple(facts), _sorted_witnesses(witnesses))
 
 
 def d_solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> list[EigenWitness]:
-    """Diagonal (all components equal) monic eigenpairs of the problem.
-
-    For each leading-index case ``μ(z) = e₀ ∈ [1, n]`` the homogenized pencil
-    is searched at its essential eigenvalues and at sampled quasi values; the
-    kernel tactics and a free-λ Gauss–Newton refinement produce candidates,
-    each verified against the original equation at ``opts.residual_tol``.
-    An empty result is a valid outcome.
-    """
-    opts = opts or SolveOptions()
-    n = prob.n
-    p, q = prob.lhs_power, prob.type_map.input_power
-    t = max(p, q)
-    witnesses: list[EigenWitness] = []
-
-    def make_case(e0: int):
-        eq, pencil = _d_equation(prob, e0)
-
-        def decomposition_of(comps: Sequence[np.ndarray]) -> MonicDecomposition:
-            return MonicDecomposition(
-                e=diagonal_index(e0, n, t), c0=1.0, components=(comps[0],) * t
-            )
-
-        def accept(comps: Sequence[np.ndarray], lam: float | None) -> EigenWitness | None:
-            return _verify_witness(
-                eq,
-                comps,
-                lam,
-                opts,
-                case=(e0,),
-                make_xi=lambda cs: stp_power(cs[0], t),
-                decomposition_of=decomposition_of,
-            )
-
-        def comps_from_vector(v: np.ndarray) -> list[np.ndarray] | None:
-            d = monic_decompose(v, (n,) * t, opts.recon_tol)
-            if d is None or not is_diagonal(d):
-                return None
-            z = d.components[0]
-            try:
-                if mu(z) != e0:
-                    return None
-            except ValueError:
-                return None
-            return [np.asarray(z, dtype=float)]
-
-        return eq, pencil, accept, comps_from_vector
-
-    for e0 in range(1, n + 1):
-        eq, pencil, accept, comps_from_vector = make_case(e0)
-        witnesses.extend(
-            _search_case(eq, pencil, (e0,), opts, accept, comps_from_vector)
-        )
-
-    def reverify(case, comps, lam):
-        _, _, accept, _ = make_case(case[0])
-        return accept([comps[0]], lam)
-
-    witnesses = _dedup(witnesses, opts.dedup_tol)
-    witnesses = _merge_lambda_lines(witnesses, reverify, opts)
-    witnesses = _tag_families(witnesses, reverify, opts)
-    return _sorted_witnesses(witnesses)
-
-
-def _u_equation(prob: UEigenProblem, case: tuple[int, ...]) -> tuple[_Equation, Pencil]:
-    tm = prob.type_map
-    n, r, s = tm.n, tm.r, tm.s
-    a, bt = prob.a, tm.composed
-    scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(bt)))
-
-    def x_of(comps: Sequence[np.ndarray]) -> np.ndarray:
-        return compose(comps)
-
-    eq = _Equation(
-        lhs=lambda comps: a @ x_of(comps),
-        rhs=lambda comps: bt @ stp_power(x_of(comps), s),
-        n=n,
-        anchors=case,
-        pencil_power=lambda comps: stp_power(x_of(comps), s),
-        scale=scale,
-    )
-    e_x = index_join(case, n, r)
-    if s == 1:
-        pencil = Pencil(a, bt)
-    else:
-        e_big = diagonal_index(e_x, n**r, s)
-        pencil = Pencil(raise_power(a, e_big, n, r, s), bt)
-    return eq, pencil
+    """Diagonal witnesses ``x = z ⊗ … ⊗ z``: :func:`solve` in D mode, one case per ``μ(z)``."""
+    return solve(replace(prob, mode="D"), opts).witnesses
 
 
 def u_solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> list[EigenWitness]:
-    """Decomposable monic eigenpairs of the problem, case by component leading indices.
+    """Decomposable witnesses ``x_1 ⊗ … ⊗ x_r``: :func:`solve` in U mode.
 
-    Every tuple ``(e_1, …, e_r) ∈ [1, n]^r`` fixes the component anchors,
-    giving a raised pencil ``Ã·ξ = λ·B̃·ξ`` in ``ξ = xˢ``; kernels at
-    essential and sampled quasi eigenvalues are searched for decomposable
-    vectors whose component leading indices match the case, with Gauss–Newton
-    refinement (λ free) against the original equation.  Detected
-    one-parameter families are probed and tagged.
+    One case per tuple of component leading indices.
     """
-    opts = opts or SolveOptions()
-    tm = prob.type_map
-    n, r, s = tm.n, tm.r, tm.s
-    witnesses: list[EigenWitness] = []
-
-    def make_case(case: tuple[int, ...]):
-        eq, pencil = _u_equation(prob, case)
-        e_x = index_join(case, n, r)
-
-        def decomposition_of(comps: Sequence[np.ndarray]) -> MonicDecomposition:
-            return MonicDecomposition(e=e_x, c0=1.0, components=tuple(comps))
-
-        def accept(comps: Sequence[np.ndarray], lam: float | None) -> EigenWitness | None:
-            return _verify_witness(
-                eq,
-                comps,
-                lam,
-                opts,
-                case=case,
-                make_xi=lambda cs: stp_power(compose(cs), s),
-                decomposition_of=decomposition_of,
-            )
-
-        def comps_from_vector(v: np.ndarray) -> list[np.ndarray] | None:
-            d = monic_decompose(v, (n,) * (r * s), opts.recon_tol)
-            if d is None:
-                return None
-            groups = [d.components[k * r : (k + 1) * r] for k in range(s)]
-            first = groups[0]
-            for other in groups[1:]:
-                for ca, cb in zip(first, other):
-                    if float(np.max(np.abs(ca - cb))) > 1e-7:
-                        return None
-            comps = [np.asarray(c, dtype=float) for c in first]
-            try:
-                if tuple(mu(c) for c in comps) != case:
-                    return None
-            except ValueError:
-                return None
-            return comps
-
-        return eq, pencil, accept, comps_from_vector
-
-    for case in itertools.product(range(1, n + 1), repeat=r):
-        eq, pencil, accept, comps_from_vector = make_case(case)
-        witnesses.extend(_search_case(eq, pencil, case, opts, accept, comps_from_vector))
-
-    def reverify(case, comps, lam):
-        _, _, accept, _ = make_case(case)
-        return accept(list(comps), lam)
-
-    witnesses = _dedup(witnesses, opts.dedup_tol)
-    witnesses = _merge_lambda_lines(witnesses, reverify, opts)
-    witnesses = _tag_families(witnesses, reverify, opts)
-    return _sorted_witnesses(witnesses)
+    return solve(replace(prob, mode="U"), opts).witnesses
 
 
 def case_pencil(prob: UEigenProblem, case: Sequence[int]) -> Pencil:
@@ -1021,15 +983,9 @@ def case_pencil(prob: UEigenProblem, case: Sequence[int]) -> Pencil:
     D mode takes a one-element case ``(e₀,)``; U mode a full component tuple.
     """
     case = tuple(int(c) for c in case)
-    if prob.mode == "D":
-        if len(case) != 1:
-            raise ValueError(f"D mode takes a single leading index, got {case}")
-        return _d_equation(prob, case[0])[1]
-    if len(case) != prob.type_map.r:
-        raise ValueError(
-            f"U mode takes r={prob.type_map.r} leading indices, got {case}"
-        )
-    return _u_equation(prob, case)[1]
+    if case not in _cases(prob):
+        raise ValueError(f"{case} is not an anchor case of this {prob.mode}-mode problem")
+    return _case_equation(prob, case).pencil
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1015,8 @@ def iterate_least_squares(
     ``B̃ξ_q`` (λ undefined) or a collapsing diagonal-consistent kernel raises
     :class:`IterationBreakdown`.
     """
-    opts_rank_tol = None
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     n = prob.n
     p, q = prob.lhs_power, prob.type_map.input_power
     t = max(p, q)
@@ -1099,7 +1056,7 @@ def iterate_least_squares(
         ]
         blocks = [pencil.at(lam)]
         blocks.extend(selectors[0] - sel for sel in selectors[1:])
-        kmat = _nullspace(np.vstack(blocks), opts_rank_tol)
+        kmat = _nullspace(np.vstack(blocks))
         if kmat.shape[1] == 0:
             raise IterationBreakdown(
                 f"diagonal-consistent kernel is trivial at step {k} (lambda={lam:.6g})"

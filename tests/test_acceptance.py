@@ -413,7 +413,6 @@ def test_a10f_witness_soundness():
         quasi_probes=1,
         pair_angles=6,
         newton_max_iter=15,
-        rank_probes=2,
     )
     total = 0
     for i in range(TRIALS):

@@ -1,12 +1,15 @@
 """End-to-end command-line behavior: reports, formats, exit codes, determinism."""
 
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import hypereig as he
 from hypereig import cli
-from conftest import PROBLEMS
+from conftest import PROBLEMS, load_problem_dict
 
 
 def _write_json(path, obj):
@@ -318,3 +321,79 @@ def test_numerical_breakdown_exit_code(tmp_path):
     path = _write_json(tmp_path / "degenerate.json", prob)
     code, _ = _run(["iterate", path, "--x0", "1,0"], tmp_path)
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "name, mode, ranks, essential",
+    [
+        ("ex_7_1ii.json", None, [7, 6, 6], [[0.0], [-1.0, 0.0], [0.0]]),
+        ("ex_7_1i.json", None, [2, 2], [[1.0], [1.0]]),
+        ("ex_7_1i.json", "U", [2, 2], [[1.0], [1.0]]),
+    ],
+)
+def test_solve_reports_case_pencil_facts(tmp_path, name, mode, ranks, essential):
+    pd = load_problem_dict(name)
+    if mode is not None:
+        pd["mode"] = mode
+    prob = he.problem_from_dict(pd)
+    code, rep = _run(["solve", _write_json(tmp_path / "prob.json", pd)], tmp_path)
+    assert code == 0
+    width = 1 if prob.mode == "D" else prob.type_map.r
+    cases = list(itertools.product(range(1, prob.n + 1), repeat=width))
+    assert [tuple(sec["case"]) for sec in rep["cases"]] == cases
+    assert [sec["generic_rank"] for sec in rep["cases"]] == ranks
+    for sec, expected in zip(rep["cases"], essential):
+        pencil = he.case_pencil(prob, sec["case"])
+        assert sec["generic_rank"] == he.generic_rank(pencil)
+        lams = [ev["lambda"] for ev in sec["essential"]]
+        assert lams == pytest.approx(he.essential_eigenvalues_real(pencil), abs=1e-12)
+        assert lams == pytest.approx(expected, abs=1e-6)
+        for ev in sec["essential"]:
+            assert ev["class"] == "essential"
+            assert ev["kernel_dim"] == len(he.kernel_basis(pencil, ev["lambda"])) >= 1
+
+
+@pytest.mark.parametrize(
+    "command, options, flags, name",
+    [
+        ("solve", {"quasi_probes": -3}, [], "quasi_probes"),
+        ("solve", {"newton_starts": -1}, [], "newton_starts"),
+        ("solve", {"proj_starts": -2}, [], "proj_starts"),
+        ("solve", {"newton_max_iter": -5}, [], "newton_max_iter"),
+        ("solve", {"max_iter": -1}, [], "max_iter"),
+        ("solve", {"pair_angles": 0}, [], "pair_angles"),
+        ("solve", {"max_pair_kernel_dim": 0}, [], "max_pair_kernel_dim"),
+        ("solve", {"family_probes": [0.0, float("inf"), 2.5]}, [], "family_probes"),
+        ("solve", {"family_probes": [0.0, float("nan"), 2.5]}, [], "family_probes"),
+        ("solve", {}, ["--quasi-probes", "-3"], "quasi_probes"),
+        ("iterate", {}, ["--max-iter", "-1", "--x0", "1,0,0"], "max_iter"),
+    ],
+)
+def test_bad_count_options_are_input_errors(tmp_path, capsys, command, options, flags, name):
+    pd = load_problem_dict("ex_7_101.json")
+    pd["options"] = options
+    path = _write_json(tmp_path / "prob.json", pd)
+    code, out = _run([command, path, *flags], tmp_path)
+    assert code == 2
+    assert out == ""
+    assert f"error: option {name} must be" in capsys.readouterr().err
+
+
+def test_overflowing_type_norm_is_input_error(tmp_path, capsys):
+    prob = {
+        "hypermatrix": {
+            "order": 2, "dims": [2, 2], "format": "dense",
+            "entries": [1.0, 0.0, 0.0, 1.0],
+        },
+        "partition": {"rows": [1], "cols": [2]},
+        "type": {"explicit": [[[1e308, 1e308], [1e308, -1e308]]], "n": 2, "r": 1},
+        "mode": "D",
+    }
+    path = _write_json(tmp_path / "huge.json", prob)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = _run(["solve", path], tmp_path)
+    assert code == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "error: the composed type map has a non-finite norm" in err

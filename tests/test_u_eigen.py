@@ -219,6 +219,21 @@ def test_u_solve_on_matrix_problem():
     )
 
 
+def test_solve_reports_case_facts_with_d_solve_witnesses():
+    prob = load_problem("ex_6_3_1.json")
+    result = he.solve(prob)
+    assert [f.case for f in result.cases] == [(1,), (2,)]
+    for f in result.cases:
+        pencil = he.case_pencil(prob, f.case)
+        assert np.array_equal(f.pencil.a, pencil.a) and np.array_equal(f.pencil.b, pencil.b)
+        assert f.generic_rank == he.generic_rank(pencil)
+        assert list(f.essential) == he.essential_eigenvalues_real(pencil)
+    expected = he.d_solve(prob)
+    assert [(w.case, w.lam) for w in result.witnesses] == [(w.case, w.lam) for w in expected]
+    with pytest.raises(ValueError):
+        he.case_pencil(prob, (3,))
+
+
 def test_witnesses_satisfy_original_equation():
     prob = load_problem("ex_6_3_1.json")
     b = prob.type_map.composed
@@ -258,6 +273,12 @@ def test_iteration_history_is_consistent():
     assert history[-1] == final
     for s in history:
         assert abs(np.linalg.norm(s.x) - 1.0) <= 1e-12
+
+
+def test_iteration_rejects_negative_max_iter():
+    prob = load_problem("ex_7_101.json")
+    with pytest.raises(ValueError, match="max_iter"):
+        he.iterate_least_squares(prob, [1.0, 1.0, 1.0], max_iter=-1)
 
 
 def test_iteration_breakdown_on_annihilating_type():
