@@ -39,10 +39,11 @@ from .pencil_eigen import (
     generic_rank,
     solution_at,
 )
-from .stp_core import stp
+from .stp_core import kron, stp
 from .u_eigen import (
     IterationBreakdown,
     IterationState,
+    SolveOptions,
     iterate_least_squares,
     options_from_dict,
     problem_from_dict,
@@ -61,7 +62,7 @@ class RunConfig:
     residual_tol: float | None = None
     recon_tol: float | None = None
     quasi_probes: int | None = None
-    seed: int = 42
+    seed: int | None = None
     eps: float | None = None
     max_iter: int | None = None
     fmt: str = "text"
@@ -209,7 +210,7 @@ def _cmd_stp(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]
 
 def _cmd_kron(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
     a, b = _load_matrix(args.a), _load_matrix(args.b)
-    return _matrix_report("kron", np.kron(np.atleast_2d(a), np.atleast_2d(b)))
+    return _matrix_report("kron", kron(np.atleast_2d(a), np.atleast_2d(b)))
 
 
 def _cmd_flatten(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
@@ -281,10 +282,9 @@ def _pencil_evaluation(
 def _cmd_pencil(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
     a, b = np.atleast_2d(_load_matrix(args.a)), np.atleast_2d(_load_matrix(args.b))
     pencil = Pencil(a, b)
-    rg = generic_rank(pencil, seed=cfg.seed, rank_tol=cfg.rank_tol)
-    essential = essential_eigenvalues_real(
-        pencil, rank_tol=cfg.rank_tol, seed=cfg.seed
-    )
+    seed = SolveOptions.seed if cfg.seed is None else cfg.seed
+    rg = generic_rank(pencil, seed=seed, rank_tol=cfg.rank_tol)
+    essential = essential_eigenvalues_real(pencil, rank_tol=cfg.rank_tol, seed=seed)
     at = [float(v) for v in args.at] if args.at else list(essential)
     evals = [_pencil_evaluation(pencil, lam, rg, cfg.rank_tol) for lam in at]
     report = {
@@ -458,7 +458,9 @@ def _cmd_iterate(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[s
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=42)
+    shared.add_argument(
+        "--seed", type=int, default=None, help="default: the problem's options.seed, else 42"
+    )
     shared.add_argument("--rank-tol", type=float, default=None)
     shared.add_argument("--residual-tol", type=float, default=None)
     shared.add_argument("--recon-tol", type=float, default=None)

@@ -298,6 +298,8 @@ def hmx_from_dict(d: dict) -> Hypermatrix:
     if any(n < 1 for n in dims):
         raise FormatError(f"dims must be positive, got {list(dims)}")
     size = math.prod(dims)
+    if size > MAX_RESULT_ENTRIES:
+        raise SizeLimitError(f"hypermatrix would hold {size} entries")
     if fmt == "dense":
         entries = d.get("entries")
         if entries is None:
@@ -308,8 +310,8 @@ def hmx_from_dict(d: dict) -> Hypermatrix:
         return Hypermatrix(dims=dims, data=data)
     if fmt == "sparse":
         nz = d.get("nz")
-        if nz is None:
-            raise FormatError('sparse HMX requires "nz"')
+        if not isinstance(nz, list):
+            raise FormatError('sparse HMX requires "nz", a list of records')
         arr = np.zeros(dims)
         for rec in nz:
             try:

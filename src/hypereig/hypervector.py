@@ -7,9 +7,12 @@ between factors — so components are normalized *monic*: first nonzero entry
 equal to 1, with a single leading coefficient ``c0`` carried separately.
 
 The monic decomposition algorithm extracts candidate components with the Ξ
-index-selection matrices anchored at the leading nonzero position and
-certifies the result by reconstruction; vectors failing the certificate are
-reported as not decomposable.
+selectors anchored at the leading nonzero position and certifies the result
+by reconstruction; vectors failing the certificate are reported as not
+decomposable.  Ξ at anchor ``e`` for factor ``i`` reads the ``dims[i−1]``
+entries whose multi-index agrees with ``index_split(e, dims)`` in every slot
+but ``i``: a strided slice of the flat vector with stride
+``prod(dims[i:])``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .stp_core import basis_vector
+from .stp_core import _kron_vectors
 
 __all__ = [
     "MonicDecomposition",
@@ -141,6 +144,22 @@ def diagonal_index(e0: int, n: int, r: int) -> int:
     return (e0 - 1) * (n**r - 1) // (n - 1) + 1
 
 
+def _xi_slice(e: int, i: int, dims: tuple[int, ...]) -> slice:
+    """Flat positions Ξ(e, i, dims) reads, as a strided slice.
+
+    Slot ``i`` runs over ``1…dims[i−1]``; every other slot stays at its entry
+    of ``index_split(e, dims)``.
+    """
+    r = len(dims)
+    i = int(i)
+    if not 1 <= i <= r:
+        raise ValueError(f"component position {i} out of range [1, {r}]")
+    c = index_split(e, dims)[i - 1]
+    stride = math.prod(dims[i:])
+    start = (int(e) - 1) - (c - 1) * stride
+    return slice(start, start + dims[i - 1] * stride, stride)
+
+
 def xi_matrix(e: int, i: int, dims: Sequence[int]) -> np.ndarray:
     """Component-selection matrix Ξ extracting factor ``i`` at anchor index ``e``.
 
@@ -151,15 +170,10 @@ def xi_matrix(e: int, i: int, dims: Sequence[int]) -> np.ndarray:
     leading indices join to ``e``, ``Ξ x = c0 · x_i``.
     """
     dims = _check_dims(dims)
-    r = len(dims)
-    i = int(i)
-    if not 1 <= i <= r:
-        raise ValueError(f"component position {i} out of range [1, {r}]")
-    cs = index_split(e, dims)
-    out = np.ones((1, 1))
-    for j, (n, c) in enumerate(zip(dims, cs), start=1):
-        factor = np.eye(n) if j == i else basis_vector(n, c).reshape(1, n)
-        out = np.kron(out, factor)
+    cols = _xi_slice(e, i, dims)
+    n_i = dims[int(i) - 1]
+    out = np.zeros((n_i, math.prod(dims)))
+    out[:, cols] = np.eye(n_i)
     return out
 
 
@@ -173,17 +187,14 @@ def extract_component(
         raise ValueError(
             f"vector length {arr.size} does not match factor dims {list(dims)}"
         )
-    return xi_matrix(e, i, dims) @ arr
+    return arr[_xi_slice(e, i, dims)].copy()
 
 
 def compose(components: Sequence[np.ndarray | Sequence]) -> np.ndarray:
     """Kronecker (STP) product of component vectors, first factor slowest."""
     if not components:
         raise ValueError("need at least one component")
-    out = _as_vector(components[0])
-    for c in components[1:]:
-        out = np.kron(out, _as_vector(c))
-    return out
+    return _kron_vectors([_as_vector(c) for c in components])
 
 
 @dataclass(frozen=True)
@@ -216,9 +227,11 @@ def monic_decompose(
 ) -> MonicDecomposition | None:
     """Decompose ``x`` into monic components over ``dims``, or ``None`` if not decomposable.
 
-    Components are extracted with the Ξ selectors anchored at ``e = mu(x)``,
-    monic-normalized, and certified by reconstruction: the result is accepted
-    only when ``‖c0·(x_1 ⊗ … ⊗ x_r) − x‖ ≤ recon_tol · ‖x‖``.
+    Component ``i`` is read with the Ξ selector anchored at ``e = mu(x)``:
+    the ``dims[i−1]`` entries of ``x`` whose multi-index matches
+    ``index_split(e, dims)`` outside slot ``i``.  Each is monic-normalized by
+    ``c0 = x[e]``, and the result is certified by reconstruction: it is
+    accepted only when ``‖c0·(x_1 ⊗ … ⊗ x_r) − x‖ ≤ recon_tol · ‖x‖``.
     """
     arr = _as_vector(x)
     dims = _check_dims(dims)

@@ -194,7 +194,6 @@ def _select_rows(p: Pencil, rg: int, seed: int = 42) -> np.ndarray:
 
 def essential_eigenvalues_real(
     p: Pencil,
-    tol: float = 1e-8,
     rank_tol: float | None = None,
     seed: int = 42,
 ) -> list[float]:

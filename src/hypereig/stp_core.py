@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "MAX_RESULT_ENTRIES",
     "SizeLimitError",
-    "basis_vector",
     "kron",
     "pushdown",
     "stp",
@@ -72,13 +71,12 @@ def _check_size(rows: int, cols: int) -> None:
         )
 
 
-def basis_vector(n: int, i: int) -> np.ndarray:
-    """Standard basis column vector of dimension ``n`` with a 1 in position ``i`` (1-based)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"basis index {i} out of range [1, {n}]")
-    v = np.zeros(n)
-    v[i - 1] = 1.0
-    return v
+def _kron_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of non-empty 1-D arrays, first factor slowest."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, v).ravel()
+    return out
 
 
 def kron(a: np.ndarray | Sequence, b: np.ndarray | Sequence) -> np.ndarray:
@@ -136,10 +134,7 @@ def stp_power(x: np.ndarray | Sequence, r: int) -> np.ndarray:
         raise ValueError(f"power must be a positive integer, got {r!r}")
     v = _as_vector(x, "x")
     _check_size(v.size**r, 1)
-    out = v
-    for _ in range(r - 1):
-        out = np.kron(out, v)
-    return out
+    return _kron_vectors([v] * r)
 
 
 def pushdown(x: np.ndarray | Sequence, a: np.ndarray | Sequence) -> np.ndarray:

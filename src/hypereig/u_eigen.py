@@ -38,8 +38,10 @@ onto the diagonal-consistent kernel, and component extraction/averaging.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Sequence
 
@@ -64,7 +66,7 @@ from .pencil_eigen import (
     kernel_basis,
     svd_rank,
 )
-from .stp_core import basis_vector, stp, stp_power
+from .stp_core import kron, stp_power
 
 __all__ = [
     "CaseFacts",
@@ -107,8 +109,9 @@ class IterationBreakdown(RuntimeError):
 def compose_type(Bs: Sequence[np.ndarray | Sequence], n: int, r: int) -> np.ndarray:
     """Compose factor matrices into ``B̃`` with ``B̃·xˢ = (B_1 x) ⊗ … ⊗ (B_s x)``.
 
-    ``B̃ = B_1 ⋉ (I_{n^r} ⊗ B_2) ⋉ … ⋉ (I_{n^{(s−1)r}} ⊗ B_s)``, of shape
-    ``n^s × n^{rs}``.
+    ``B̃ = B_1 ⊗ … ⊗ B_s``, of shape ``n^s × n^{rs}``: by the mixed-product
+    rule this equals the STP chain ``B_1 ⋉ (I_{n^r} ⊗ B_2) ⋉ … ⋉
+    (I_{n^{(s−1)r}} ⊗ B_s)``.
     """
     n, r = int(n), int(r)
     mats = [np.atleast_2d(np.asarray(b, dtype=float)) for b in Bs]
@@ -119,10 +122,7 @@ def compose_type(Bs: Sequence[np.ndarray | Sequence], n: int, r: int) -> np.ndar
             raise ValueError(
                 f"factor {j} has shape {b.shape}, expected {(n, n**r)}"
             )
-    out = mats[0]
-    for j, b in enumerate(mats[1:], start=1):
-        out = stp(out, np.kron(np.eye(n ** (j * r)), b))
-    return out
+    return functools.reduce(kron, mats)
 
 
 def type_h(n: int, r: int) -> np.ndarray:
@@ -189,8 +189,9 @@ def _require_finite_norm(m: np.ndarray, what: str) -> None:
 class TypeMap:
     """Multilinear right-hand-side map: ``s`` factor matrices over degree-``r`` input.
 
-    ``kind == "identity-power"`` is the special map whose right-hand side is
-    ``zˢ`` itself (no factor matrices; ``composed`` is the identity).
+    ``composed`` is ``B̃``, built from the factors.  ``kind == "identity-power"``
+    is the special map whose right-hand side is ``zˢ`` itself (no factor
+    matrices; ``composed`` is the identity).
     """
 
     n: int
@@ -198,7 +199,7 @@ class TypeMap:
     s: int
     kind: str = "explicit"
     factors: tuple[np.ndarray, ...] = field(default=(), repr=False)
-    composed: np.ndarray = field(default=None, repr=False)
+    composed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, r, s = int(self.n), int(self.r), int(self.s)
@@ -212,15 +213,7 @@ class TypeMap:
         else:
             if len(factors) != s:
                 raise ValueError(f"expected s={s} factor matrices, got {len(factors)}")
-            composed = (
-                np.atleast_2d(np.asarray(self.composed, dtype=float))
-                if self.composed is not None
-                else compose_type(factors, n, r)
-            )
-            if composed.shape != (n**s, n ** (r * s)):
-                raise ValueError(
-                    f"composed map has shape {composed.shape}, expected {(n**s, n**(r*s))}"
-                )
+            composed = compose_type(factors, n, r)
         _require_finite_norm(composed, "the composed type map")
         for m in factors + (composed,):
             m.flags.writeable = False
@@ -352,6 +345,11 @@ class IterationState:
     converged: bool = False
 
 
+def _is_number(value, kind: type) -> bool:
+    """Whether ``value`` is a number of the given ``numbers`` kind (booleans are not)."""
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Tolerances, probe counts, and iteration limits shared by the solvers."""
@@ -373,20 +371,34 @@ class SolveOptions:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        for name in ("residual_tol", "recon_tol", "dedup_tol", "eps"):
+        counts = ("quasi_probes", "newton_starts", "proj_starts", "newton_max_iter", "max_iter")
+        for name in ("seed", "pair_angles", "max_pair_kernel_dim") + counts:
+            if not _is_number(getattr(self, name), numbers.Integral):
+                raise ValueError(f"option {name} must be an integer")
+        tols = ("residual_tol", "recon_tol", "dedup_tol", "eps")
+        optional = () if self.rank_tol is None else ("rank_tol",)
+        for name in tols + optional + ("family_tol",):
+            if not _is_number(getattr(self, name), numbers.Real):
+                raise ValueError(f"option {name} must be a real number")
+        for name in tols:
             if getattr(self, name) <= 0:
                 raise ValueError(f"option {name} must be positive")
         if self.rank_tol is not None and self.rank_tol <= 0:
             raise ValueError("option rank_tol must be positive")
-        counts = ("quasi_probes", "newton_starts", "proj_starts", "newton_max_iter", "max_iter")
         for name in counts:
             if getattr(self, name) < 0:
                 raise ValueError(f"option {name} must be non-negative")
         for name in ("pair_angles", "max_pair_kernel_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"option {name} must be at least 1")
-        if not all(math.isfinite(v) for v in self.family_probes):
+        probes = self.family_probes
+        if not isinstance(probes, (list, tuple)) or not all(
+            _is_number(v, numbers.Real) for v in probes
+        ):
+            raise ValueError("option family_probes must be a list of real numbers")
+        if not all(math.isfinite(v) for v in probes):
             raise ValueError("option family_probes must be finite")
+        object.__setattr__(self, "family_probes", tuple(float(v) for v in probes))
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +441,9 @@ def lower_power_E(n: int, r: int, s: int, mu_x: int) -> np.ndarray:
     if not 1 <= mu_x <= n:
         raise ValueError(f"leading index {mu_x} out of range [1, {n}]")
     low, high = min(r, s), max(r, s)
-    row = basis_vector(n, mu_x).reshape(1, n)
-    tail = np.ones((1, 1))
-    for _ in range(high - low):
-        tail = np.kron(tail, row)
-    return np.kron(np.eye(n**low), tail)
+    k = high - low
+    # (δ_n^μ)^{⊗k} = δ_{n^k}^{d} with d the diagonal index of (μ, …, μ).
+    return xi_matrix(diagonal_index(mu_x, n, k), 1, (n**low, n**k))
 
 
 def build_d_pencil(
@@ -1098,24 +1108,28 @@ def _type_map_from_dict(td: dict) -> TypeMap:
     if "named" in td:
         name = str(td["named"])
         try:
-            n, r = int(td["n"]), int(td["r"])
+            n, r, s = int(td["n"]), int(td["r"]), int(td.get("s", 1))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"named type needs integer n and r: {exc}") from exc
-        s = int(td.get("s", 1))
+            raise ValueError(f"named type needs integer n, r and s: {exc}") from exc
         return named_type(name, n, r, s)
     if "explicit" in td:
+        if not isinstance(td["explicit"], list):
+            raise ValueError("explicit type must be a list of factor matrices")
         factors = [np.atleast_2d(np.asarray(b, dtype=float)) for b in td["explicit"]]
         if not factors:
             raise ValueError("explicit type needs at least one factor matrix")
-        n = int(td.get("n", factors[0].shape[0]))
-        r = td.get("r")
+        try:
+            n = int(td.get("n", factors[0].shape[0]))
+            r = None if td.get("r") is None else int(td["r"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"explicit type needs integer n and r: {exc}") from exc
         if r is None:
             r = _int_log(factors[0].shape[1], n)
             if r is None:
                 raise ValueError(
                     f"cannot infer degree r from factor shape {factors[0].shape}"
                 )
-        return TypeMap(n=n, r=int(r), s=len(factors), factors=tuple(factors))
+        return TypeMap(n=n, r=r, s=len(factors), factors=tuple(factors))
     raise ValueError('problem type must carry either "named" or "explicit"')
 
 
@@ -1182,6 +1196,4 @@ def options_from_dict(d: dict | None, **overrides) -> SolveOptions:
             raise ValueError(f"unknown options: {sorted(unknown)}")
         merged.update(d)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    if "family_probes" in merged:
-        merged["family_probes"] = tuple(float(v) for v in merged["family_probes"])
     return SolveOptions(**merged)

@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -66,6 +69,16 @@ def test_kron_of_vectors(tmp_path):
     code, rep = _run(["kron", a, b], tmp_path)
     assert code == 0
     assert rep["result"]["entries"] == [3.0, 4.0, 6.0, 8.0]
+
+
+@pytest.mark.parametrize("command", ["stp", "kron"])
+def test_products_honour_the_size_cap(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(he.stp_core, "MAX_RESULT_ENTRIES", 10)
+    v = _vector_file(tmp_path / "v.json", [1.0, 2.0, 3.0, 4.0])
+    code, out = _run([command, v, v], tmp_path)
+    assert code == 2
+    assert out == ""
+    assert "error: result would hold 16 entries (cap is 10)" in capsys.readouterr().err
 
 
 def test_flatten_single_row_index(tmp_path):
@@ -367,6 +380,12 @@ def test_solve_reports_case_pencil_facts(tmp_path, name, mode, ranks, essential)
         ("solve", {"family_probes": [0.0, float("nan"), 2.5]}, [], "family_probes"),
         ("solve", {}, ["--quasi-probes", "-3"], "quasi_probes"),
         ("iterate", {}, ["--max-iter", "-1", "--x0", "1,0,0"], "max_iter"),
+        ("solve", {"family_probes": 3}, [], "family_probes"),
+        ("solve", {"residual_tol": "x"}, [], "residual_tol"),
+        ("solve", {"rank_tol": "x"}, [], "rank_tol"),
+        ("solve", {"quasi_probes": 2.5}, [], "quasi_probes"),
+        ("solve", {"newton_max_iter": 1.5}, [], "newton_max_iter"),
+        ("solve", {"seed": "x"}, [], "seed"),
     ],
 )
 def test_bad_count_options_are_input_errors(tmp_path, capsys, command, options, flags, name):
@@ -397,3 +416,56 @@ def test_overflowing_type_norm_is_input_error(tmp_path, capsys):
     assert caught == []
     err = capsys.readouterr().err
     assert "error: the composed type map has a non-finite norm" in err
+
+
+def test_seed_comes_from_the_problem_file_unless_the_flag_is_given(tmp_path):
+    pd = load_problem_dict("ex_7_101.json")
+    plain = _write_json(tmp_path / "plain.json", pd)
+    pd["options"] = {"seed": 7}
+    seeded = _write_json(tmp_path / "seeded.json", pd)
+    outputs = {}
+    for key, argv in [
+        ("default", ["solve", plain]),
+        ("file", ["solve", seeded]),
+        ("flag", ["solve", plain, "--seed", "7"]),
+        ("flag wins", ["solve", seeded, "--seed", "42"]),
+    ]:
+        code, outputs[key] = _run(argv, tmp_path)
+        assert code == 0
+    assert outputs["file"] == outputs["flag"]
+    assert outputs["file"] != outputs["default"]
+    assert outputs["flag wins"] == outputs["default"]
+
+
+def _problem_with(hypermatrix=None, type_map=None):
+    pd = load_problem_dict("ex_7_101.json")
+    if hypermatrix is not None:
+        pd["hypermatrix"] = hypermatrix
+    if type_map is not None:
+        pd["type"] = type_map
+    return pd
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        _problem_with(type_map={"explicit": None}),
+        _problem_with(type_map={"named": "markov", "n": 3, "r": 3, "s": None}),
+        _problem_with(type_map={"explicit": [[[1.0, 0.0], [0.0, 1.0]]], "n": None}),
+        _problem_with(hypermatrix={"order": 1, "dims": [2], "format": "sparse", "nz": 5}),
+        _problem_with(hypermatrix={"order": 40, "dims": [2] * 40, "format": "sparse", "nz": []}),
+    ],
+    ids=["explicit-null", "named-s-null", "explicit-n-null", "nz-not-a-list", "dims-over-cap"],
+)
+def test_malformed_problem_files_are_input_errors(tmp_path, problem):
+    path = _write_json(tmp_path / "prob.json", problem)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypereig.cli", "solve", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -97,13 +97,26 @@ def test_is_diagonal():
     assert d2 is not None and not he.is_diagonal(d2)
 
 
+def _xi_by_kronecker(e, i, dims):
+    """Ξ by its definition: Kronecker chain of basis rows with the identity at slot i."""
+    out = np.ones((1, 1))
+    for j, (n, c) in enumerate(zip(dims, he.index_split(e, dims)), start=1):
+        out = np.kron(out, np.eye(n) if j == i else np.eye(n)[c - 1].reshape(1, n))
+    return out
+
+
 def test_extract_component_matches_xi():
     rng = np.random.default_rng(5)
-    dims = (3, 3)
-    comps = [rng.uniform(-1, 1, size=3) for _ in range(2)]
-    x = he.compose(comps)
-    e = he.mu(x)
-    for i in (1, 2):
-        assert np.allclose(
-            he.extract_component(x, e, i, dims), he.xi_matrix(e, i, dims) @ x
-        )
+    for dims in [(3, 3), (2, 1, 3), (3, 2), (1,), (2, 2, 2)]:
+        x = rng.uniform(-1, 1, size=int(np.prod(dims)))
+        for e in range(1, x.size + 1):
+            for i in range(1, len(dims) + 1):
+                xi = he.xi_matrix(e, i, dims)
+                assert np.array_equal(xi, _xi_by_kronecker(e, i, dims))
+                assert np.array_equal(he.extract_component(x, e, i, dims), xi @ x)
+        with pytest.raises(ValueError):
+            he.extract_component(x, 1, len(dims) + 1, dims)
+        with pytest.raises(ValueError):
+            he.extract_component(x, x.size + 1, 1, dims)
+        with pytest.raises(ValueError):
+            he.extract_component(np.append(x, 1.0), 1, 1, dims)

@@ -46,8 +46,13 @@ def test_stp_all_left_fold():
 
 def test_stp_power_is_iterated_kron():
     z = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(he.stp_power(z, 1), z)
-    assert np.allclose(he.stp_power(z, 3), np.kron(np.kron(z, z), z))
+    assert np.array_equal(he.stp_power(z, 1), z)
+    assert np.array_equal(he.stp_power(z, 3), np.kron(np.kron(z, z), z))
+    # compose runs the same Kronecker loop over distinct (and mixed-size) factors.
+    rng = np.random.default_rng(4)
+    vs = [rng.uniform(-1, 1, size=n) for n in (2, 1, 3)]
+    assert np.array_equal(he.compose(vs), np.kron(np.kron(vs[0], vs[1]), vs[2]))
+    assert np.array_equal(he.compose([z]), z)
     with pytest.raises(ValueError):
         he.stp_power(z, 0)
 

@@ -1,5 +1,7 @@
 """Type maps, power conversion, the witness solvers, and the fixed-point iteration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,11 @@ def test_compose_type_factorwise_action():
     lhs = big @ he.compose(zs)
     rhs = he.compose([B @ z for B, z in zip(Bs, zs)])
     assert np.allclose(lhs, rhs)
+    # The STP chain B_1 ⋉ (I ⊗ B_2) ⋉ (I ⊗ B_3) gives the same matrix, bit for bit.
+    chain = Bs[0]
+    for j, b in enumerate(Bs[1:], start=1):
+        chain = he.stp(chain, np.kron(np.eye(n ** (j * r)), b))
+    assert np.array_equal(big, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +130,18 @@ def test_raise_power_single_copy_is_identity():
 
 def test_lower_power_monic_identity():
     rng = np.random.default_rng(12)
-    n, low, high = 3, 1, 3
-    for mu_x in range(1, n + 1):
-        E = he.lower_power_E(n, low, high, mu_x)
-        assert E.shape == (n**low, n**high)
-        z = rng.uniform(-1, 1, size=n)
-        z[mu_x - 1] = 1.0
-        assert np.allclose(E @ he.stp_power(z, high), he.stp_power(z, low))
+    for n, (low, high) in itertools.product((1, 2, 3), [(1, 2), (1, 3), (2, 3)]):
+        for mu_x in range(1, n + 1):
+            E = he.lower_power_E(n, low, high, mu_x)
+            # E by its definition: I_{n^low} ⊗ [(δ_n^μ)ᵀ]^{⊗(high−low)}.
+            chain = np.ones((1, 1))
+            for _ in range(high - low):
+                chain = np.kron(chain, np.eye(n)[mu_x - 1].reshape(1, n))
+            assert np.array_equal(E, np.kron(np.eye(n**low), chain))
+            assert np.array_equal(he.lower_power_E(n, high, low, mu_x), E)
+            z = rng.uniform(-1, 1, size=n)
+            z[mu_x - 1] = 1.0
+            assert np.allclose(E @ he.stp_power(z, high), he.stp_power(z, low))
     with pytest.raises(ValueError):
         he.lower_power_E(2, 2, 2, 1)
 
