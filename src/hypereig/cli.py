@@ -5,10 +5,12 @@ Commands expose the algebra primitives (``stp``, ``kron``, ``flatten``,
 eigen-solvers (``solve``, ``iterate``).  Matrix and vector files use the same
 JSON syntax as hypermatrix files, with order 2 / order 1.
 
-Output is ``text`` (floats rounded to 4 decimals) or ``structured`` (a single
-JSON object with full-precision floats; byte-identical for identical inputs
-and seed).  Exit codes: 0 success (including empty results), 2 input error,
-3 numerical breakdown.
+Every command takes ``--format`` and ``--output``; a command takes a seed or
+tolerance flag only if it reads it, and such a flag overrides the
+``SolveOptions`` field of the same name.  Output is ``text`` (floats rounded
+to 4 decimals) or ``structured`` (a single JSON object with full-precision
+floats; byte-identical for identical inputs and seed).  Exit codes: 0 success
+(including empty results), 2 input error, 3 numerical breakdown.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from .hypermatrix import (
 from .hypervector import monic_decompose
 from .pencil_eigen import (
     DegeneratePencilError,
-    EigenClass,
     Pencil,
     essential_eigenvalues_real,
     generic_rank,
@@ -50,30 +50,7 @@ from .u_eigen import (
     solve,
 )
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective run settings: output path, tolerances, probes, output format."""
-
-    output: str | None = None
-    rank_tol: float | None = None
-    residual_tol: float | None = None
-    recon_tol: float | None = None
-    quasi_probes: int | None = None
-    seed: int | None = None
-    eps: float | None = None
-    max_iter: int | None = None
-    fmt: str = "text"
-
-    def __post_init__(self) -> None:
-        for name in ("rank_tol", "residual_tol", "recon_tol", "eps"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        if self.fmt not in ("text", "structured"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +75,12 @@ def _load_hmx(path: str) -> Hypermatrix:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_array(path: str, *orders: int) -> np.ndarray:
+    """The array of a hypermatrix file whose order is one of ``orders``."""
     h = _load_hmx(path)
-    if h.order not in (1, 2):
-        raise ValueError(f"{path}: expected order 1 or 2, got order {h.order}")
-    return h.to_array()
-
-
-def _load_vector(path: str) -> np.ndarray:
-    h = _load_hmx(path)
-    if h.order != 1:
-        raise ValueError(f"{path}: expected an order-1 vector, got order {h.order}")
+    if h.order not in orders:
+        expected = " or ".join(str(o) for o in orders)
+        raise ValueError(f"{path}: expected order {expected}, got order {h.order}")
     return h.to_array()
 
 
@@ -157,8 +129,6 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, EigenClass):
-        return obj.value
     return obj
 
 
@@ -171,30 +141,30 @@ def _fvec(v: Sequence[float]) -> str:
     return "(" + ", ".join(_fnum(x) for x in np.asarray(v).ravel()) + ")"
 
 
-def _matrix_lines(m: np.ndarray) -> list[str]:
-    m = np.atleast_2d(m)
-    return ["  [" + "  ".join(_fnum(v) for v in row) + "]" for row in m]
-
-
-def _emit(report: dict, text_lines: list[str], cfg: RunConfig) -> None:
-    if cfg.fmt == "structured":
+def _emit(report: dict, text_lines: list[str], args: argparse.Namespace) -> None:
+    if args.fmt == "structured":
         rendered = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
     else:
         rendered = "\n".join(text_lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
 
 
-def _matrix_report(command: str, result: np.ndarray) -> tuple[dict, list[str]]:
-    h = Hypermatrix.from_array(np.asarray(result, dtype=float))
-    report = {"command": command, "result": hmx_to_dict(h)}
-    if h.order <= 1:
-        lines = [_fvec(h.to_array())]
+def _hmx_report(command: str, result: Hypermatrix) -> tuple[dict, list[str]]:
+    report = {"command": command, "result": hmx_to_dict(result)}
+    arr = result.to_array()
+    if result.order == 0:
+        lines = [_fnum(float(arr))]
+    elif result.order == 1:
+        lines = [_fvec(arr)]
+    elif result.order == 2:
+        lines = ["  [" + "  ".join(_fnum(v) for v in row) + "]" for row in arr]
     else:
-        lines = _matrix_lines(h.to_array())
+        lines = [f"order-{result.order} result, dims {list(result.dims)}:"]
+        lines.append("  " + " ".join(_fnum(v) for v in arr.ravel()))
     return report, lines
 
 
@@ -203,51 +173,57 @@ def _matrix_report(command: str, result: np.ndarray) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_stp(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
-    a, b = _load_matrix(args.a), _load_matrix(args.b)
-    return _matrix_report("stp", stp(a, b))
+#: Flags that override a ``SolveOptions`` field of the same name.  A command
+#: declares only those it reads, and ``_options`` passes them on.
+_OPTION_FLAGS = {
+    "seed": {"type": int, "help": "default: the problem's options.seed, else 42"},
+    "rank_tol": {"type": float},
+    "residual_tol": {"type": float},
+    "recon_tol": {"type": float},
+    "quasi_probes": {"type": int},
+    "eps": {"type": float},
+    "max_iter": {"type": int},
+}
 
 
-def _cmd_kron(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
-    a, b = _load_matrix(args.a), _load_matrix(args.b)
-    return _matrix_report("kron", kron(np.atleast_2d(a), np.atleast_2d(b)))
+def _options(args: argparse.Namespace, file_options: dict | None = None) -> SolveOptions:
+    """The problem file's options overridden by the option flags the command declares."""
+    flags = {name: getattr(args, name) for name in _OPTION_FLAGS if hasattr(args, name)}
+    return options_from_dict(file_options, **flags)
 
 
-def _cmd_flatten(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
+def _cmd_stp(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    a, b = _load_array(args.a, 1, 2), _load_array(args.b, 1, 2)
+    return _hmx_report("stp", Hypermatrix.from_array(stp(a, b)))
+
+
+def _cmd_kron(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    a, b = _load_array(args.a, 1, 2), _load_array(args.b, 1, 2)
+    return _hmx_report("kron", Hypermatrix.from_array(kron(np.atleast_2d(a), np.atleast_2d(b))))
+
+
+def _cmd_flatten(args: argparse.Namespace) -> tuple[dict, list[str]]:
     h = _load_hmx(args.hmx)
     rows = _parse_index_list(args.rows, "rows")
     cols = _parse_index_list(args.cols, "cols") if args.cols is not None else None
     if cols is None:
         cols = tuple(i for i in range(1, h.order + 1) if i not in rows)
     part = IndexPartition(rows=rows, cols=cols)
-    return _matrix_report("flatten", flatten(h, part))
+    return _hmx_report("flatten", Hypermatrix.from_array(flatten(h, part)))
 
 
-def _cmd_contract(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
+def _cmd_contract(args: argparse.Namespace) -> tuple[dict, list[str]]:
     a, b = _load_hmx(args.a), _load_hmx(args.b)
-    shared = _parse_pairs(args.shared)
-    result = contract(a, b, shared)
-    report = {"command": "contract", "result": hmx_to_dict(result)}
-    arr = result.to_array()
-    if result.order == 0:
-        lines = [_fnum(float(arr))]
-    elif result.order == 1:
-        lines = [_fvec(arr)]
-    elif result.order == 2:
-        lines = _matrix_lines(arr)
-    else:
-        lines = [f"order-{result.order} result, dims {list(result.dims)}:"]
-        lines.append("  " + " ".join(_fnum(v) for v in arr.ravel()))
-    return report, lines
+    return _hmx_report("contract", contract(a, b, _parse_pairs(args.shared)))
 
 
-def _cmd_decompose(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
-    x = _load_vector(args.vector)
+def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    opts = _options(args)
+    x = _load_array(args.vector, 1)
     dims = _parse_index_list(args.dims, "dims")
     if not dims:
         raise ValueError("--dims must list at least one factor dimension")
-    recon_tol = cfg.recon_tol if cfg.recon_tol is not None else 1e-8
-    d = monic_decompose(x, dims, recon_tol=recon_tol)
+    d = monic_decompose(x, dims, recon_tol=opts.recon_tol)
     if d is None:
         report = {"command": "decompose", "decomposable": False}
         return report, ["NOT_DECOMPOSABLE"]
@@ -279,14 +255,15 @@ def _pencil_evaluation(
     }
 
 
-def _cmd_pencil(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
-    a, b = np.atleast_2d(_load_matrix(args.a)), np.atleast_2d(_load_matrix(args.b))
+def _cmd_pencil(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    opts = _options(args)
+    a = np.atleast_2d(_load_array(args.a, 1, 2))
+    b = np.atleast_2d(_load_array(args.b, 1, 2))
     pencil = Pencil(a, b)
-    seed = SolveOptions.seed if cfg.seed is None else cfg.seed
-    rg = generic_rank(pencil, seed=seed, rank_tol=cfg.rank_tol)
-    essential = essential_eigenvalues_real(pencil, rank_tol=cfg.rank_tol, seed=seed)
+    rg = generic_rank(pencil, seed=opts.seed, rank_tol=opts.rank_tol)
+    essential = essential_eigenvalues_real(pencil, rank_tol=opts.rank_tol, seed=opts.seed)
     at = [float(v) for v in args.at] if args.at else list(essential)
-    evals = [_pencil_evaluation(pencil, lam, rg, cfg.rank_tol) for lam in at]
+    evals = [_pencil_evaluation(pencil, lam, rg, opts.rank_tol) for lam in at]
     report = {
         "command": "pencil",
         "shape": list(pencil.shape),
@@ -337,48 +314,40 @@ def _witness_line(w) -> str:
     return line
 
 
-def _iteration_dict(states: list[IterationState]) -> list[dict]:
-    return [
-        {
-            "k": s.k,
-            "lambda": s.lam,
-            "residual": s.residual,
-            "x": s.x,
-            "converged": s.converged,
-        }
-        for s in states
-    ]
+def _state_dict(s: IterationState) -> dict:
+    return {
+        "k": s.k,
+        "lambda": s.lam,
+        "residual": s.residual,
+        "x": s.x,
+        "converged": s.converged,
+    }
 
 
-def _iteration_lines(states: list[IterationState], final: IterationState) -> list[str]:
+def _iteration(prob, x0: str, opts: SolveOptions) -> tuple[dict, list[str]]:
+    """Run the least-squares iteration from ``x0``: its trace and final state."""
+    history: list[IterationState] = []
+    final = iterate_least_squares(
+        prob, _parse_float_list(x0, "x0"), eps=opts.eps, max_iter=opts.max_iter,
+        history=history,
+    )
+    report = {"trace": [_state_dict(s) for s in history], "final": _state_dict(final)}
     lines = ["   k      lambda    residual  x"]
-    for s in states:
-        lines.append(f"{s.k:4d}  {s.lam:10.4f}  {s.residual:10.4f}  {_fvec(s.x)}")
+    lines.extend(
+        f"{s.k:4d}  {s.lam:10.4f}  {s.residual:10.4f}  {_fvec(s.x)}" for s in history
+    )
     status = "converged" if final.converged else "not converged"
     lines.append(
         f"{status} at k={final.k}: lambda={_fnum(final.lam)} "
         f"residual={_fnum(final.residual)} x={_fvec(final.x)}"
     )
-    return lines
+    return report, lines
 
 
-def _solve_options(problem_dict: dict, cfg: RunConfig):
-    return options_from_dict(
-        problem_dict.get("options"),
-        seed=cfg.seed,
-        rank_tol=cfg.rank_tol,
-        residual_tol=cfg.residual_tol,
-        recon_tol=cfg.recon_tol,
-        quasi_probes=cfg.quasi_probes,
-        eps=cfg.eps,
-        max_iter=cfg.max_iter,
-    )
-
-
-def _cmd_solve(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
+def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
     pd = _load_json(args.problem)
     prob = problem_from_dict(pd)
-    opts = _solve_options(pd, cfg)
+    opts = _options(args, pd.get("options"))
     if args.iterate and not args.x0:
         raise ValueError("--iterate requires --x0 with a start vector")
     result = solve(prob, opts)
@@ -420,35 +389,17 @@ def _cmd_solve(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str
     lines.append(f"witnesses ({len(witnesses)}):")
     lines.extend(_witness_line(w) for w in witnesses)
     if args.iterate:
-        x0 = _parse_float_list(args.x0, "x0")
-        history: list[IterationState] = []
-        final = iterate_least_squares(
-            prob, x0, eps=opts.eps, max_iter=opts.max_iter, history=history
-        )
-        report["iteration"] = {
-            "trace": _iteration_dict(history),
-            "final": _iteration_dict([final])[0],
-        }
+        report["iteration"], iteration_lines = _iteration(prob, args.x0, opts)
         lines.append("iteration:")
-        lines.extend(_iteration_lines(history, final))
+        lines.extend(iteration_lines)
     return report, lines
 
 
-def _cmd_iterate(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[str]]:
+def _cmd_iterate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     pd = _load_json(args.problem)
     prob = problem_from_dict(pd)
-    opts = _solve_options(pd, cfg)
-    x0 = _parse_float_list(args.x0, "x0")
-    history: list[IterationState] = []
-    final = iterate_least_squares(
-        prob, x0, eps=opts.eps, max_iter=opts.max_iter, history=history
-    )
-    report = {
-        "command": "iterate",
-        "trace": _iteration_dict(history),
-        "final": _iteration_dict([final])[0],
-    }
-    return report, _iteration_lines(history, final)
+    report, lines = _iteration(prob, args.x0, _options(args, pd.get("options")))
+    return {"command": "iterate", **report}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -457,39 +408,34 @@ def _cmd_iterate(args: argparse.Namespace, cfg: RunConfig) -> tuple[dict, list[s
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--seed", type=int, default=None, help="default: the problem's options.seed, else 42"
-    )
-    shared.add_argument("--rank-tol", type=float, default=None)
-    shared.add_argument("--residual-tol", type=float, default=None)
-    shared.add_argument("--recon-tol", type=float, default=None)
-    shared.add_argument("--quasi-probes", type=int, default=None)
-    shared.add_argument("--eps", type=float, default=None)
-    shared.add_argument("--max-iter", type=int, default=None)
-    shared.add_argument(
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
         "--format", choices=("text", "structured"), default="text", dest="fmt"
     )
-    shared.add_argument("--output", default=None)
+    common.add_argument("--output", default=None)
 
     parser = argparse.ArgumentParser(
         prog="hypereig",
         description="Eigenvalues of equilateral hypermatrices via matrix pencils.",
-        parents=[shared],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stp", parents=[shared], help="semi-tensor product of two matrices")
+    def command(name, func, summary, options=()):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for option in options:
+            p.add_argument("--" + option.replace("_", "-"), **_OPTION_FLAGS[option])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("stp", _cmd_stp, "semi-tensor product of two matrices")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_stp)
 
-    p = sub.add_parser("kron", parents=[shared], help="Kronecker product of two matrices")
+    p = command("kron", _cmd_kron, "Kronecker product of two matrices")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_kron)
 
-    p = sub.add_parser("flatten", parents=[shared], help="matrix form of a hypermatrix")
+    p = command("flatten", _cmd_flatten, "matrix form of a hypermatrix")
     p.add_argument("hmx")
     p.add_argument("--rows", default="", help="comma-separated 1-based row indices")
     p.add_argument(
@@ -497,9 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated 1-based column indices (default: the rest)",
     )
-    p.set_defaults(func=_cmd_flatten)
 
-    p = sub.add_parser("contract", parents=[shared], help="contraction product")
+    p = command("contract", _cmd_contract, "contraction product")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument(
@@ -507,17 +452,18 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="shared index pairs A:B, comma separated (e.g. 2:1,3:2)",
     )
-    p.set_defaults(func=_cmd_contract)
 
-    p = sub.add_parser("decompose", parents=[shared], help="monic decomposition of a vector")
+    p = command(
+        "decompose", _cmd_decompose, "monic decomposition of a vector", ["recon_tol"]
+    )
     p.add_argument("vector")
     p.add_argument("--dims", required=True, help="factor dimensions, comma separated")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser(
+    p = command(
         "pencil",
-        parents=[shared],
-        help="generic rank, essential eigenvalues, kernels of a pencil",
+        _cmd_pencil,
+        "generic rank, essential eigenvalues, kernels of a pencil",
+        ["seed", "rank_tol"],
     )
     p.add_argument("a")
     p.add_argument("b")
@@ -528,18 +474,17 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="evaluate the kernel at this eigenvalue (repeatable)",
     )
-    p.set_defaults(func=_cmd_pencil)
 
-    p = sub.add_parser("solve", parents=[shared], help="solve an eigenproblem file")
+    p = command("solve", _cmd_solve, "solve an eigenproblem file", list(_OPTION_FLAGS))
     p.add_argument("problem")
     p.add_argument("--iterate", action="store_true")
     p.add_argument("--x0", default=None, help="start vector, comma separated")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("iterate", parents=[shared], help="least-squares iteration only")
+    p = command(
+        "iterate", _cmd_iterate, "least-squares iteration only", ["eps", "max_iter"]
+    )
     p.add_argument("problem")
     p.add_argument("--x0", required=True, help="start vector, comma separated")
-    p.set_defaults(func=_cmd_iterate)
 
     return parser
 
@@ -551,25 +496,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = RunConfig(
-            output=args.output,
-            rank_tol=args.rank_tol,
-            residual_tol=args.residual_tol,
-            recon_tol=args.recon_tol,
-            quasi_probes=args.quasi_probes,
-            seed=args.seed,
-            eps=args.eps,
-            max_iter=args.max_iter,
-            fmt=args.fmt,
-        )
-        report, lines = args.func(args, cfg)
+        report, lines = args.func(args)
     except (OSError, ValueError) as exc:  # includes format/parse/shape errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IterationBreakdown, DegeneratePencilError, np.linalg.LinAlgError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
-    _emit(report, lines, cfg)
+    _emit(report, lines, args)
     return 0
 
 

@@ -15,6 +15,7 @@ list) or ``nz`` (list of ``{"idx": [... 1-based ...], "val": v}`` records).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -283,13 +284,22 @@ def hmx_to_dict(h: Hypermatrix) -> dict:
     }
 
 
+def _whole(value) -> int:
+    """``value`` as an ``int`` if it is an integral number (not a bool), else ValueError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def hmx_from_dict(d: dict) -> Hypermatrix:
     """Parse the HMX dictionary format (see module docstring)."""
     if not isinstance(d, dict):
         raise FormatError("HMX value must be an object")
     try:
-        order = int(d["order"])
-        dims = tuple(int(n) for n in d["dims"])
+        order = _whole(d["order"])
+        dims = tuple(_whole(n) for n in d["dims"])
         fmt = str(d["format"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"HMX object missing or malformed field: {exc}") from exc
@@ -315,7 +325,7 @@ def hmx_from_dict(d: dict) -> Hypermatrix:
         arr = np.zeros(dims)
         for rec in nz:
             try:
-                idx = tuple(int(i) for i in rec["idx"])
+                idx = tuple(_whole(i) for i in rec["idx"])
                 val = float(rec["val"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"malformed nz record {rec!r}") from exc

@@ -369,10 +369,11 @@ def kernel_basis(
         m = m.real
     _, svals, vh = np.linalg.svd(m)
     rank = svd_rank(svals, m.shape, rank_tol)
-    basis = [vh[i].conj() for i in range(rank, m.shape[1])]
-    if all(np.max(np.abs(v.imag)) == 0.0 for v in basis if np.iscomplexobj(v)):
-        basis = [np.real(v) for v in basis]
-    return basis
+    kernel = vh[rank:].conj()
+    if np.iscomplexobj(kernel) and not kernel.imag.any():
+        kernel = kernel.real
+    # Copies, so that a kernel vector does not keep the whole Vᴴ alive.
+    return [v.copy() for v in kernel]
 
 
 def solution_at(

@@ -47,8 +47,9 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .hypermatrix import Hypermatrix, IndexPartition
+from .hypermatrix import Hypermatrix, IndexPartition, _whole
 from .hypervector import (
+    DEFAULT_RECON_TOL,
     MonicDecomposition,
     compose,
     diagonal_index,
@@ -350,6 +351,16 @@ def _is_number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
 
 
+#: Tactic 2 scans two-vector kernel combinations up to this kernel dimension.
+_MAX_PAIR_KERNEL_DIM = 8
+#: Witnesses whose pencil vectors ξ differ by at most this (max-norm) are one.
+_DEDUP_TOL = 1e-6
+#: A component moves between two witnesses when it changes by more than this.
+_FAMILY_TOL = 1e-7
+#: Offsets along a candidate family line at which the line is re-verified.
+_FAMILY_PROBES = (0.0, 1.0, 2.5)
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Tolerances, probe counts, and iteration limits shared by the solvers."""
@@ -357,48 +368,35 @@ class SolveOptions:
     seed: int = 42
     rank_tol: float | None = None
     residual_tol: float = 1e-9
-    recon_tol: float = 1e-8
+    recon_tol: float = DEFAULT_RECON_TOL
     quasi_probes: int = 7
     newton_starts: int = 12
     proj_starts: int = 6
     newton_max_iter: int = 60
     pair_angles: int = 24
-    max_pair_kernel_dim: int = 8
-    dedup_tol: float = 1e-6
-    family_probes: tuple[float, ...] = (0.0, 1.0, 2.5)
-    family_tol: float = 1e-7
     eps: float = 1e-5
     max_iter: int = 200
 
     def __post_init__(self) -> None:
         counts = ("quasi_probes", "newton_starts", "proj_starts", "newton_max_iter", "max_iter")
-        for name in ("seed", "pair_angles", "max_pair_kernel_dim") + counts:
+        for name in ("seed", "pair_angles") + counts:
             if not _is_number(getattr(self, name), numbers.Integral):
                 raise ValueError(f"option {name} must be an integer")
-        tols = ("residual_tol", "recon_tol", "dedup_tol", "eps")
         optional = () if self.rank_tol is None else ("rank_tol",)
-        for name in tols + optional + ("family_tol",):
-            if not _is_number(getattr(self, name), numbers.Real):
+        for name in ("residual_tol", "recon_tol", "eps") + optional:
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Real):
                 raise ValueError(f"option {name} must be a real number")
-        for name in tols:
-            if getattr(self, name) <= 0:
+            # An int is finite, and a huge one would overflow math.isfinite.
+            if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+                raise ValueError(f"option {name} must be finite")
+            if value <= 0:
                 raise ValueError(f"option {name} must be positive")
-        if self.rank_tol is not None and self.rank_tol <= 0:
-            raise ValueError("option rank_tol must be positive")
         for name in counts:
             if getattr(self, name) < 0:
                 raise ValueError(f"option {name} must be non-negative")
-        for name in ("pair_angles", "max_pair_kernel_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"option {name} must be at least 1")
-        probes = self.family_probes
-        if not isinstance(probes, (list, tuple)) or not all(
-            _is_number(v, numbers.Real) for v in probes
-        ):
-            raise ValueError("option family_probes must be a list of real numbers")
-        if not all(math.isfinite(v) for v in probes):
-            raise ValueError("option family_probes must be finite")
-        object.__setattr__(self, "family_probes", tuple(float(v) for v in probes))
+        if self.pair_angles < 1:
+            raise ValueError("option pair_angles must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +734,7 @@ def _search_case(
                 add(comps, lam)
 
         # Tactic 2: two-vector combinations, screened by a rank-1 reshape test.
-        if 2 <= kmat.shape[1] <= opts.max_pair_kernel_dim:
+        if 2 <= kmat.shape[1] <= _MAX_PAIR_KERNEL_DIM:
             for i, j in itertools.combinations(range(kmat.shape[1]), 2):
                 for theta in np.linspace(0.0, np.pi, opts.pair_angles, endpoint=False):
                     w = math.cos(theta) * kmat[:, i] + math.sin(theta) * kmat[:, j]
@@ -788,7 +786,6 @@ def _sorted_witnesses(witnesses: list[EigenWitness]) -> list[EigenWitness]:
 def _merge_lambda_lines(
     witnesses: list[EigenWitness],
     reverify: Callable[[tuple[int, ...], Sequence[np.ndarray], float], EigenWitness | None],
-    opts: SolveOptions,
 ) -> list[EigenWitness]:
     """Collapse witnesses that recur with one ξ at several λ into a single tagged row.
 
@@ -804,7 +801,7 @@ def _merge_lambda_lines(
             if (
                 w.case == head.case
                 and w.xi.shape == head.xi.shape
-                and float(np.max(np.abs(w.xi - head.xi))) <= opts.dedup_tol
+                and float(np.max(np.abs(w.xi - head.xi))) <= _DEDUP_TOL
             ):
                 cluster.append(w)
                 break
@@ -835,13 +832,12 @@ def _merge_lambda_lines(
 def _tag_families(
     witnesses: list[EigenWitness],
     reverify: Callable[[tuple[int, ...], Sequence[np.ndarray], float], EigenWitness | None],
-    opts: SolveOptions,
 ) -> list[EigenWitness]:
     """Detect one-parameter witness families and certify them at probe values.
 
     Two witnesses of the same case and λ whose decompositions differ in
     exactly one component define a candidate line; it is probed at
-    ``opts.family_probes`` (offsets along the normalized direction from the
+    ``_FAMILY_PROBES`` (offsets along the normalized direction from the
     canonical base point) and tagged when at least three probes verify.
     Probe witnesses are added to the result set.
     """
@@ -860,7 +856,7 @@ def _tag_families(
                 float(np.max(np.abs(ca - cb)))
                 for ca, cb in zip(wa.decomposition.components, wb.decomposition.components)
             ]
-            moving = [j for j, d in enumerate(diffs) if d > opts.family_tol]
+            moving = [j for j, d in enumerate(diffs) if d > _FAMILY_TOL]
             if len(moving) != 1:
                 continue
             j = moving[0]
@@ -874,7 +870,7 @@ def _tag_families(
                 - wa.decomposition.components[j][pivot] * direction
             )
             probes_ok: list[EigenWitness] = []
-            for theta in opts.family_probes:
+            for theta in _FAMILY_PROBES:
                 comps = list(wa.decomposition.components)
                 comps[j] = base + theta * direction
                 probe = reverify(case, comps, lam)
@@ -891,10 +887,10 @@ def _tag_families(
     tagged = [
         replace(w, family=tags[i]) if i in tags else w for i, w in enumerate(witnesses)
     ]
-    return _dedup(tagged + extra, opts.dedup_tol)
+    return _dedup(tagged + extra)
 
 
-def _dedup(witnesses: list[EigenWitness], tol: float) -> list[EigenWitness]:
+def _dedup(witnesses: list[EigenWitness]) -> list[EigenWitness]:
     """Deduplicate, preferring tagged (family) records, then lower residuals."""
     kept: list[EigenWitness] = []
     for w in sorted(witnesses, key=lambda w: (w.family is None, w.residual)):
@@ -902,9 +898,9 @@ def _dedup(witnesses: list[EigenWitness], tol: float) -> list[EigenWitness]:
         for prev in kept:
             if (
                 w.case == prev.case
-                and abs(w.lam - prev.lam) <= tol * max(1.0, abs(prev.lam))
+                and abs(w.lam - prev.lam) <= _DEDUP_TOL * max(1.0, abs(prev.lam))
                 and w.xi.shape == prev.xi.shape
-                and float(np.max(np.abs(w.xi - prev.xi))) <= tol
+                and float(np.max(np.abs(w.xi - prev.xi))) <= _DEDUP_TOL
             ):
                 duplicate = True
                 break
@@ -968,9 +964,9 @@ def solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> SolveResult:
     def reverify(case, comps, lam):
         return _verify_witness(equations[case], comps[: len(case)], lam, opts)
 
-    witnesses = _dedup(witnesses, opts.dedup_tol)
-    witnesses = _merge_lambda_lines(witnesses, reverify, opts)
-    witnesses = _tag_families(witnesses, reverify, opts)
+    witnesses = _dedup(witnesses)
+    witnesses = _merge_lambda_lines(witnesses, reverify)
+    witnesses = _tag_families(witnesses, reverify)
     return SolveResult(tuple(facts), _sorted_witnesses(witnesses))
 
 
@@ -1108,7 +1104,7 @@ def _type_map_from_dict(td: dict) -> TypeMap:
     if "named" in td:
         name = str(td["named"])
         try:
-            n, r, s = int(td["n"]), int(td["r"]), int(td.get("s", 1))
+            n, r, s = _whole(td["n"]), _whole(td["r"]), _whole(td.get("s", 1))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"named type needs integer n, r and s: {exc}") from exc
         return named_type(name, n, r, s)
@@ -1119,8 +1115,8 @@ def _type_map_from_dict(td: dict) -> TypeMap:
         if not factors:
             raise ValueError("explicit type needs at least one factor matrix")
         try:
-            n = int(td.get("n", factors[0].shape[0]))
-            r = None if td.get("r") is None else int(td["r"])
+            n = _whole(td.get("n", factors[0].shape[0]))
+            r = None if td.get("r") is None else _whole(td["r"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"explicit type needs integer n and r: {exc}") from exc
         if r is None:
@@ -1156,10 +1152,10 @@ def problem_from_dict(d: dict) -> UEigenProblem:
     part_d = d["partition"]
     try:
         partition = IndexPartition(
-            rows=tuple(int(i) for i in part_d["rows"]),
-            cols=tuple(int(i) for i in part_d["cols"]),
+            rows=tuple(_whole(i) for i in part_d["rows"]),
+            cols=tuple(_whole(i) for i in part_d["cols"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed partition: {exc}") from exc
     a = flatten(h, partition)
     tm = _type_map_from_dict(d["type"])

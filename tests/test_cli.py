@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -375,17 +376,21 @@ def test_solve_reports_case_pencil_facts(tmp_path, name, mode, ranks, essential)
         ("solve", {"newton_max_iter": -5}, [], "newton_max_iter"),
         ("solve", {"max_iter": -1}, [], "max_iter"),
         ("solve", {"pair_angles": 0}, [], "pair_angles"),
-        ("solve", {"max_pair_kernel_dim": 0}, [], "max_pair_kernel_dim"),
-        ("solve", {"family_probes": [0.0, float("inf"), 2.5]}, [], "family_probes"),
-        ("solve", {"family_probes": [0.0, float("nan"), 2.5]}, [], "family_probes"),
+        ("solve", {"residual_tol": float("nan")}, [], "residual_tol"),
+        ("solve", {}, ["--residual-tol", "nan"], "residual_tol"),
+        ("solve", {}, ["--residual-tol", "inf"], "residual_tol"),
         ("solve", {}, ["--quasi-probes", "-3"], "quasi_probes"),
         ("iterate", {}, ["--max-iter", "-1", "--x0", "1,0,0"], "max_iter"),
-        ("solve", {"family_probes": 3}, [], "family_probes"),
+        ("solve", {"eps": float("inf")}, [], "eps"),
         ("solve", {"residual_tol": "x"}, [], "residual_tol"),
         ("solve", {"rank_tol": "x"}, [], "rank_tol"),
         ("solve", {"quasi_probes": 2.5}, [], "quasi_probes"),
         ("solve", {"newton_max_iter": 1.5}, [], "newton_max_iter"),
         ("solve", {"seed": "x"}, [], "seed"),
+        ("solve", {"rank_tol": float("inf")}, [], "rank_tol"),
+        ("solve", {}, ["--rank-tol", "nan"], "rank_tol"),
+        ("solve", {"recon_tol": float("inf")}, [], "recon_tol"),
+        ("iterate", {}, ["--eps", "inf", "--x0", "1,0,0"], "eps"),
     ],
 )
 def test_bad_count_options_are_input_errors(tmp_path, capsys, command, options, flags, name):
@@ -446,6 +451,19 @@ def _problem_with(hypermatrix=None, type_map=None):
     return pd
 
 
+def _fractional(name, *path):
+    """Shipped problem ``name`` with the integer at key ``path`` plus one half.
+
+    Truncating the value gives back the shipped, solvable problem.
+    """
+    pd = load_problem_dict(name)
+    node = pd
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] += 0.5
+    return pd
+
+
 @pytest.mark.parametrize(
     "problem",
     [
@@ -454,8 +472,18 @@ def _problem_with(hypermatrix=None, type_map=None):
         _problem_with(type_map={"explicit": [[[1.0, 0.0], [0.0, 1.0]]], "n": None}),
         _problem_with(hypermatrix={"order": 1, "dims": [2], "format": "sparse", "nz": 5}),
         _problem_with(hypermatrix={"order": 40, "dims": [2] * 40, "format": "sparse", "nz": []}),
+        _fractional("ex_6_3_1.json", "type", "n"),
+        _fractional("ex_7_1i.json", "type", "r"),
+        _fractional("ex_6_3_1.json", "hypermatrix", "order"),
+        _fractional("ex_6_3_1.json", "hypermatrix", "dims", 3),
+        _fractional("ex_6_3_1.json", "hypermatrix", "nz", 1, "idx", 3),
+        _fractional("ex_6_3_1.json", "partition", "rows", 0),
     ],
-    ids=["explicit-null", "named-s-null", "explicit-n-null", "nz-not-a-list", "dims-over-cap"],
+    ids=[
+        "explicit-null", "named-s-null", "explicit-n-null", "nz-not-a-list", "dims-over-cap",
+        "named-n-fractional", "explicit-r-fractional", "order-fractional",
+        "dims-fractional", "nz-index-fractional", "partition-fractional",
+    ],
 )
 def test_malformed_problem_files_are_input_errors(tmp_path, problem):
     path = _write_json(tmp_path / "prob.json", problem)
@@ -469,3 +497,88 @@ def test_malformed_problem_files_are_input_errors(tmp_path, problem):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "7", "solve", str(PROBLEMS / "ex_7_101.json")],
+        ["--format", "structured", "solve", str(PROBLEMS / "ex_7_101.json")],
+        ["stp", str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json"),
+         "--eps", "1"],
+        ["iterate", str(PROBLEMS / "ex_7_101.json"), "--x0", "1,0,0", "--rank-tol", "1"],
+    ],
+    ids=["top-level-seed", "top-level-format", "stp-eps", "iterate-rank-tol"],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: hypereig")
+
+
+COMMON_FLAGS = {"--help", "--format", "--output"}
+SOLVER_FLAGS = {
+    "--seed", "--rank-tol", "--residual-tol", "--recon-tol", "--quasi-probes", "--eps",
+    "--max-iter",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        (None, {"--help"}),
+        ("stp", COMMON_FLAGS),
+        ("kron", COMMON_FLAGS),
+        ("flatten", COMMON_FLAGS | {"--rows", "--cols"}),
+        ("contract", COMMON_FLAGS | {"--shared"}),
+        ("decompose", COMMON_FLAGS | {"--dims", "--recon-tol"}),
+        ("pencil", COMMON_FLAGS | {"--at", "--seed", "--rank-tol"}),
+        ("solve", COMMON_FLAGS | SOLVER_FLAGS | {"--iterate", "--x0"}),
+        ("iterate", COMMON_FLAGS | {"--x0", "--eps", "--max-iter"}),
+    ],
+)
+def test_each_command_help_lists_exactly_its_flags(capsys, command, flags):
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out)) == flags
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("dedup_tol", 1e-6),
+        ("family_tol", 1e-7),
+        ("family_probes", [0.0, 1.0, 2.5]),
+        ("max_pair_kernel_dim", 8),
+    ],
+)
+def test_removed_solver_knobs_are_unknown_options(tmp_path, capsys, knob, value):
+    pd = load_problem_dict("ex_7_101.json")
+    pd["options"] = {knob: value}
+    code, out = _run(["solve", _write_json(tmp_path / "prob.json", pd)], tmp_path)
+    assert code == 2
+    assert out == ""
+    assert f"error: unknown options: ['{knob}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, value",
+    [
+        ("pencil", "rank_tol", "nan"),
+        ("pencil", "rank_tol", "inf"),
+        ("decompose", "recon_tol", "nan"),
+        ("decompose", "recon_tol", "-inf"),
+    ],
+)
+def test_non_finite_tolerance_flags_are_input_errors(tmp_path, capsys, command, name, value):
+    if command == "pencil":
+        operands = [str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json")]
+    else:
+        operands = [_vector_file(tmp_path / "v.json", [2.0, 4.0, 0.0, 2.0]), "--dims", "2,2"]
+    flag = "--" + name.replace("_", "-")
+    code, out = _run([command, *operands, f"{flag}={value}"], tmp_path)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"error: option {name} must be finite\n"

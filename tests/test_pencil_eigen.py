@@ -134,3 +134,19 @@ def test_kernel_basis_orthonormal():
     assert np.allclose(K @ K.T, np.eye(3), atol=1e-10)
     for v in basis:
         assert np.linalg.norm((a - 0.37 * b) @ v) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.37, 0.37 + 0.0j, 0.37 + 0.5j])
+def test_kernel_basis_vectors_own_their_data(lam):
+    rng = np.random.default_rng(9)
+    p = he.Pencil(rng.uniform(-1, 1, size=(3, 6)), rng.uniform(-1, 1, size=(3, 6)))
+    m = p.at(lam)
+    if np.iscomplexobj(m) and not m.imag.any():
+        m = m.real
+    expected = np.linalg.svd(m)[2][3:].conj()
+    basis = he.kernel_basis(p, lam)
+    assert len(basis) == 3
+    for v, row in zip(basis, expected):
+        assert v.base is None
+        assert np.iscomplexobj(v) == (lam.imag != 0)
+        assert np.array_equal(v, row)
