@@ -9,147 +9,21 @@ certificate, D-/U-eigen solvers, an alternating least-squares iteration, and
 the ``hypereig`` command-line tool.
 """
 
-from .stp_core import (
-    SizeLimitError,
-    kron,
-    pushdown,
-    stp,
-    stp_all,
-    stp_power,
-)
-from .hypermatrix import (
-    FormatError,
-    Hypermatrix,
-    IndexPartition,
-    apply,
-    contract,
-    eval_tensor,
-    flatten,
-    hmx_from_dict,
-    hmx_to_dict,
-    unflatten,
-    vectorize,
-)
-from .hypervector import (
-    MonicDecomposition,
-    compose,
-    diagonal_index,
-    extract_component,
-    index_join,
-    index_split,
-    is_diagonal,
-    monic_decompose,
-    monicize,
-    mu,
-    xi_matrix,
-)
-from .pencil_eigen import (
-    DegeneratePencilError,
-    EigenClass,
-    EigenSolution,
-    Pencil,
-    classify,
-    essential_eigenvalues_real,
-    generic_rank,
-    kernel_basis,
-    numerical_rank,
-    psi_reduction,
-    solution_at,
-    square_pencil_eigen,
-)
-from .u_eigen import (
-    CaseFacts,
-    EigenWitness,
-    IterationBreakdown,
-    IterationState,
-    SolveOptions,
-    SolveResult,
-    TypeMap,
-    UEigenProblem,
-    build_d_pencil,
-    case_pencil,
-    compose_type,
-    d_solve,
-    iterate_least_squares,
-    lower_power_E,
-    named_type,
-    options_from_dict,
-    problem_from_dict,
-    problem_to_dict,
-    raise_power,
-    solve,
-    type_h,
-    type_inner_product,
-    type_markov,
-    u_solve,
-)
+from . import hypermatrix, hypervector, pencil_eigen, stp_core, u_eigen
+from .hypermatrix import *  # noqa: F401,F403
+from .hypervector import *  # noqa: F401,F403
+from .pencil_eigen import *  # noqa: F401,F403
+from .stp_core import *  # noqa: F401,F403
+from .u_eigen import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# Each module lists its public names once, in its own ``__all__``.
 __all__ = [
-    "CaseFacts",
-    "DegeneratePencilError",
-    "EigenClass",
-    "EigenSolution",
-    "EigenWitness",
-    "FormatError",
-    "Hypermatrix",
-    "IndexPartition",
-    "IterationBreakdown",
-    "IterationState",
-    "MonicDecomposition",
-    "Pencil",
-    "SizeLimitError",
-    "SolveOptions",
-    "SolveResult",
-    "TypeMap",
-    "UEigenProblem",
-    "apply",
-    "build_d_pencil",
-    "case_pencil",
-    "classify",
-    "compose",
-    "compose_type",
-    "contract",
-    "d_solve",
-    "diagonal_index",
-    "essential_eigenvalues_real",
-    "eval_tensor",
-    "extract_component",
-    "flatten",
-    "generic_rank",
-    "hmx_from_dict",
-    "hmx_to_dict",
-    "index_join",
-    "index_split",
-    "is_diagonal",
-    "iterate_least_squares",
-    "kernel_basis",
-    "kron",
-    "lower_power_E",
-    "monic_decompose",
-    "monicize",
-    "mu",
-    "named_type",
-    "numerical_rank",
-    "options_from_dict",
-    "problem_from_dict",
-    "problem_to_dict",
-    "psi_reduction",
-    "pushdown",
-    "raise_power",
-    "solution_at",
-    "solve",
-    "square_pencil_eigen",
-    "stp",
-    "stp_all",
-    "stp_power",
-    "type_h",
-    "type_inner_product",
-    "type_markov",
-    "u_solve",
-    "unflatten",
-    "vectorize",
-    "xi_matrix",
+    *stp_core.__all__,
+    *hypermatrix.__all__,
+    *hypervector.__all__,
+    *pencil_eigen.__all__,
+    *u_eigen.__all__,
     "__version__",
 ]

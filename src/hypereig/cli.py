@@ -180,7 +180,6 @@ _OPTION_FLAGS = {
     "rank_tol": {"type": float},
     "residual_tol": {"type": float},
     "recon_tol": {"type": float},
-    "quasi_probes": {"type": int},
     "eps": {"type": float},
     "max_iter": {"type": int},
 }
@@ -324,12 +323,21 @@ def _state_dict(s: IterationState) -> dict:
     }
 
 
-def _iteration(prob, x0: str, opts: SolveOptions) -> tuple[dict, list[str]]:
+def _start_vector(text: str, n: int) -> np.ndarray:
+    """The ``--x0`` start vector, which must have ``n`` entries."""
+    x0 = _parse_float_list(text, "x0")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"bad x0 list {text!r}: entries must be finite")
+    if x0.size != n:
+        raise ValueError(f"start vector has length {x0.size}, expected n = {n}")
+    return x0
+
+
+def _iteration(prob, x0: np.ndarray, opts: SolveOptions) -> tuple[dict, list[str]]:
     """Run the least-squares iteration from ``x0``: its trace and final state."""
     history: list[IterationState] = []
     final = iterate_least_squares(
-        prob, _parse_float_list(x0, "x0"), eps=opts.eps, max_iter=opts.max_iter,
-        history=history,
+        prob, x0, eps=opts.eps, max_iter=opts.max_iter, history=history
     )
     report = {"trace": [_state_dict(s) for s in history], "final": _state_dict(final)}
     lines = ["   k      lambda    residual  x"]
@@ -348,8 +356,10 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
     pd = _load_json(args.problem)
     prob = problem_from_dict(pd)
     opts = _options(args, pd.get("options"))
-    if args.iterate and not args.x0:
-        raise ValueError("--iterate requires --x0 with a start vector")
+    if args.iterate:
+        if not args.x0:
+            raise ValueError("--iterate requires --x0 with a start vector")
+        x0 = _start_vector(args.x0, prob.n)
     result = solve(prob, opts)
     witnesses = result.witnesses
     sections = [
@@ -389,7 +399,7 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
     lines.append(f"witnesses ({len(witnesses)}):")
     lines.extend(_witness_line(w) for w in witnesses)
     if args.iterate:
-        report["iteration"], iteration_lines = _iteration(prob, args.x0, opts)
+        report["iteration"], iteration_lines = _iteration(prob, x0, opts)
         lines.append("iteration:")
         lines.extend(iteration_lines)
     return report, lines
@@ -398,7 +408,8 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
 def _cmd_iterate(args: argparse.Namespace) -> tuple[dict, list[str]]:
     pd = _load_json(args.problem)
     prob = problem_from_dict(pd)
-    report, lines = _iteration(prob, args.x0, _options(args, pd.get("options")))
+    opts = _options(args, pd.get("options"))
+    report, lines = _iteration(prob, _start_vector(args.x0, prob.n), opts)
     return {"command": "iterate", **report}, lines
 
 
@@ -497,13 +508,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         report, lines = args.func(args)
+        _emit(report, lines, args)
     except (OSError, ValueError) as exc:  # includes format/parse/shape errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IterationBreakdown, DegeneratePencilError, np.linalg.LinAlgError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
-    _emit(report, lines, args)
     return 0
 
 

@@ -293,6 +293,14 @@ def _whole(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _reals(value, what: str) -> np.ndarray:
+    """``value`` (parsed JSON) as a float array, or FormatError naming ``what``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what} must be numbers: {exc}") from exc
+
+
 def hmx_from_dict(d: dict) -> Hypermatrix:
     """Parse the HMX dictionary format (see module docstring)."""
     if not isinstance(d, dict):
@@ -314,7 +322,7 @@ def hmx_from_dict(d: dict) -> Hypermatrix:
         entries = d.get("entries")
         if entries is None:
             raise FormatError('dense HMX requires "entries"')
-        data = np.asarray(entries, dtype=float).ravel()
+        data = _reals(entries, "entries").ravel()
         if data.size != size:
             raise FormatError(f"entries length {data.size} != {size} for dims {list(dims)}")
         return Hypermatrix(dims=dims, data=data)
@@ -327,7 +335,7 @@ def hmx_from_dict(d: dict) -> Hypermatrix:
             try:
                 idx = tuple(_whole(i) for i in rec["idx"])
                 val = float(rec["val"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"malformed nz record {rec!r}") from exc
             if len(idx) != order:
                 raise FormatError(f"nz index {list(idx)} has wrong length for order {order}")

@@ -34,6 +34,7 @@ __all__ = [
     "kernel_basis",
     "numerical_rank",
     "psi_reduction",
+    "solution_at",
     "square_pencil_eigen",
     "svd_rank",
 ]
@@ -358,6 +359,12 @@ def _polish_rank_drop(p: Pencil, lam: float, rg: int) -> float:
     return float(best) if sigma(best) < sigma(lam) else lam
 
 
+def _kernel_rows(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the numerical null space of ``m``, one vector per row."""
+    _, svals, vh = np.linalg.svd(m)
+    return vh[svd_rank(svals, m.shape, rank_tol) :].conj()
+
+
 def kernel_basis(
     p: Pencil,
     lam: float | complex,
@@ -367,9 +374,7 @@ def kernel_basis(
     m = p.at(lam)
     if np.iscomplexobj(m) and np.max(np.abs(m.imag)) == 0.0:
         m = m.real
-    _, svals, vh = np.linalg.svd(m)
-    rank = svd_rank(svals, m.shape, rank_tol)
-    kernel = vh[rank:].conj()
+    kernel = _kernel_rows(m, rank_tol)
     if np.iscomplexobj(kernel) and not kernel.imag.any():
         kernel = kernel.real
     # Copies, so that a kernel vector does not keep the whole Vᴴ alive.

@@ -47,12 +47,14 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .hypermatrix import Hypermatrix, IndexPartition, _whole
+from .hypermatrix import Hypermatrix, IndexPartition, _reals, _whole
 from .hypervector import (
     DEFAULT_RECON_TOL,
     MonicDecomposition,
+    _xi_slice,
     compose,
     diagonal_index,
+    extract_component,
     index_join,
     index_split,
     is_diagonal,
@@ -62,12 +64,12 @@ from .hypervector import (
 )
 from .pencil_eigen import (
     Pencil,
+    _kernel_rows,
     essential_eigenvalues_real,
     generic_rank,
     kernel_basis,
-    svd_rank,
 )
-from .stp_core import kron, stp_power
+from .stp_core import MAX_RESULT_ENTRIES, SizeLimitError, _check_size, kron, stp_power
 
 __all__ = [
     "CaseFacts",
@@ -85,6 +87,7 @@ __all__ = [
     "iterate_least_squares",
     "lower_power_E",
     "named_type",
+    "options_from_dict",
     "problem_from_dict",
     "problem_to_dict",
     "raise_power",
@@ -186,6 +189,20 @@ def _require_finite_norm(m: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has a non-finite norm (entries too large or not finite)")
 
 
+def _check_type_shape(n: int, r: int, s: int, kind: str) -> None:
+    """Reject non-positive sizes and a composed ``n^s × n^{rs}`` matrix past the entry cap.
+
+    The exponents are bounded first (with ``n ≥ 2`` any larger one is over
+    the cap), so a huge degree is rejected without raising ``n`` to it.
+    """
+    if n < 1 or r < 1 or s < 1:
+        raise ValueError(f"need positive n, r, s; got n={n}, r={r}, s={s}")
+    in_power = s if kind == "identity-power" else r * s
+    if s + in_power > MAX_RESULT_ENTRIES.bit_length():
+        raise SizeLimitError(f"type map degrees r={r}, s={s} are too large")
+    _check_size(n**s, n**in_power)
+
+
 @dataclass(frozen=True)
 class TypeMap:
     """Multilinear right-hand-side map: ``s`` factor matrices over degree-``r`` input.
@@ -204,8 +221,7 @@ class TypeMap:
 
     def __post_init__(self) -> None:
         n, r, s = int(self.n), int(self.r), int(self.s)
-        if n < 1 or r < 1 or s < 1:
-            raise ValueError(f"need positive n, r, s; got n={n}, r={r}, s={s}")
+        _check_type_shape(n, r, s, self.kind)
         factors = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.factors)
         if self.kind == "identity-power":
             if factors:
@@ -214,7 +230,9 @@ class TypeMap:
         else:
             if len(factors) != s:
                 raise ValueError(f"expected s={s} factor matrices, got {len(factors)}")
-            composed = compose_type(factors, n, r)
+            # Overflow or inf·0 leaves inf/nan entries, which the norm check rejects.
+            with np.errstate(over="ignore", invalid="ignore"):
+                composed = compose_type(factors, n, r)
         _require_finite_norm(composed, "the composed type map")
         for m in factors + (composed,):
             m.flags.writeable = False
@@ -245,6 +263,7 @@ def named_type(name: str, n: int, r: int, s: int = 1) -> TypeMap:
     }
     if name not in builders:
         raise ValueError(f"unknown type name {name!r} (expected one of {NAMED_TYPES})")
+    _check_type_shape(int(n), int(r), int(s), name)
     factor = builders[name](n, r)
     return TypeMap(n=n, r=r, s=int(s), kind=name, factors=(factor,) * int(s))
 
@@ -359,44 +378,49 @@ _DEDUP_TOL = 1e-6
 _FAMILY_TOL = 1e-7
 #: Offsets along a candidate family line at which the line is re-verified.
 _FAMILY_PROBES = (0.0, 1.0, 2.5)
+#: Quasi λ values sampled from [−3, 3] per case, besides 0 and 1.
+_QUASI_PROBES = 7
+#: Tactic 4: random starts of Gauss–Newton on the original equation per case.
+_NEWTON_STARTS = 12
+#: Tactic 3: random starts of the kernel-projection Gauss–Newton per λ.
+_PROJ_STARTS = 6
+#: Iteration cap of each Gauss–Newton run (tactics 3 and 4).
+_NEWTON_MAX_ITER = 60
+#: Tactic 2: mixing angles per pair of kernel vectors.
+_PAIR_ANGLES = 24
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances, probe counts, and iteration limits shared by the solvers."""
+    """What counts as an eigenpair, and how the least-squares iteration runs."""
 
     seed: int = 42
     rank_tol: float | None = None
     residual_tol: float = 1e-9
     recon_tol: float = DEFAULT_RECON_TOL
-    quasi_probes: int = 7
-    newton_starts: int = 12
-    proj_starts: int = 6
-    newton_max_iter: int = 60
-    pair_angles: int = 24
     eps: float = 1e-5
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        counts = ("quasi_probes", "newton_starts", "proj_starts", "newton_max_iter", "max_iter")
-        for name in ("seed", "pair_angles") + counts:
-            if not _is_number(getattr(self, name), numbers.Integral):
+        for name in ("seed", "max_iter"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral):
                 raise ValueError(f"option {name} must be an integer")
+            if value < 0:
+                raise ValueError(f"option {name} must be non-negative")
         optional = () if self.rank_tol is None else ("rank_tol",)
         for name in ("residual_tol", "recon_tol", "eps") + optional:
             value = getattr(self, name)
             if not _is_number(value, numbers.Real):
                 raise ValueError(f"option {name} must be a real number")
-            # An int is finite, and a huge one would overflow math.isfinite.
-            if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"option {name} must be finite")
             if value <= 0:
                 raise ValueError(f"option {name} must be positive")
-        for name in counts:
-            if getattr(self, name) < 0:
-                raise ValueError(f"option {name} must be non-negative")
-        if self.pair_angles < 1:
-            raise ValueError("option pair_angles must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +447,7 @@ def raise_power(a: np.ndarray | Sequence, e: int, n: int, r: int, s: int) -> np.
         raise ValueError(
             f"anchor {e} is infeasible for a power: split {parts} is not diagonal"
         )
-    return mat @ xi_matrix(e, 1, (n**r,) * s)
+    return _place_columns(mat, _xi_slice(e, 1, (n**r,) * s), n ** (r * s))
 
 
 def lower_power_E(n: int, r: int, s: int, mu_x: int) -> np.ndarray:
@@ -434,14 +458,26 @@ def lower_power_E(n: int, r: int, s: int, mu_x: int) -> np.ndarray:
     ``r == s`` needs no lowering and is rejected.
     """
     n, r, s = int(n), int(r), int(s)
+    cols = _lowering_columns(n, r, s, mu_x)
+    return _place_columns(np.eye(n ** min(r, s)), cols, n ** max(r, s))
+
+
+def _lowering_columns(n: int, r: int, s: int, mu_x: int) -> slice:
+    """The columns that the lowering map ``E`` of :func:`lower_power_E` selects."""
     if r == s:
         raise ValueError("powers already match; no lowering map is needed")
     if not 1 <= mu_x <= n:
         raise ValueError(f"leading index {mu_x} out of range [1, {n}]")
-    low, high = min(r, s), max(r, s)
-    k = high - low
+    low, k = min(r, s), abs(r - s)
     # (δ_n^μ)^{⊗k} = δ_{n^k}^{d} with d the diagonal index of (μ, …, μ).
-    return xi_matrix(diagonal_index(mu_x, n, k), 1, (n**low, n**k))
+    return _xi_slice(diagonal_index(mu_x, n, k), 1, (n**low, n**k))
+
+
+def _place_columns(mat: np.ndarray, cols: slice, width: int) -> np.ndarray:
+    """``mat·Ξ`` for a selector Ξ that reads ``cols``: ``mat`` written into those columns of zeros."""
+    out = np.zeros((mat.shape[0], width))
+    out[:, cols] = mat
+    return out
 
 
 def build_d_pencil(
@@ -471,9 +507,10 @@ def build_d_pencil(
         )
     if r == s:
         return Pencil(am, bm)
+    cols, width = _lowering_columns(n, r, s, mu_x), n ** max(r, s)
     if r < s:
-        return Pencil(am @ lower_power_E(n, r, s, mu_x), bm)
-    return Pencil(am, bm @ lower_power_E(n, r, s, mu_x))
+        return Pencil(_place_columns(am, cols, width), bm)
+    return Pencil(am, _place_columns(bm, cols, width))
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +518,11 @@ def build_d_pencil(
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
-    """Orthonormal kernel basis as columns (possibly zero columns wide)."""
-    mat = np.atleast_2d(np.asarray(m, dtype=float))
-    _, svals, vh = np.linalg.svd(mat)
-    return vh[svd_rank(svals, mat.shape, rank_tol) :].T
-
-
 def _lambda_candidates(essential: Sequence[float], opts: SolveOptions) -> list[float]:
     """Essential eigenvalues plus a deterministic sample of quasi values (incl. 0 and 1)."""
     cands = list(essential)
     rng = np.random.default_rng(opts.seed + 17)
-    cands.extend(float(v) for v in rng.uniform(-3.0, 3.0, size=opts.quasi_probes))
+    cands.extend(float(v) for v in rng.uniform(-3.0, 3.0, size=_QUASI_PROBES))
     cands.extend([0.0, 1.0])
     out: list[float] = []
     for lam in cands:
@@ -736,7 +766,7 @@ def _search_case(
         # Tactic 2: two-vector combinations, screened by a rank-1 reshape test.
         if 2 <= kmat.shape[1] <= _MAX_PAIR_KERNEL_DIM:
             for i, j in itertools.combinations(range(kmat.shape[1]), 2):
-                for theta in np.linspace(0.0, np.pi, opts.pair_angles, endpoint=False):
+                for theta in np.linspace(0.0, np.pi, _PAIR_ANGLES, endpoint=False):
                     w = math.cos(theta) * kmat[:, i] + math.sin(theta) * kmat[:, j]
                     if not _rank_one_factor(w, n):
                         continue
@@ -746,14 +776,14 @@ def _search_case(
 
         # Tactic 3: Gauss–Newton on the kernel-projection residual.
         if total_free:
-            for _ in range(opts.proj_starts):
+            for _ in range(_PROJ_STARTS):
                 u0 = rng.standard_normal(total_free)
 
                 def proj_resid(u: np.ndarray) -> np.ndarray:
                     xi = eq.pencil_power(unpack(u))
                     return xi - kmat @ (kmat.T @ xi)
 
-                u, _ = _gauss_newton(proj_resid, u0, opts.newton_max_iter)
+                u, _ = _gauss_newton(proj_resid, u0, _NEWTON_MAX_ITER)
                 comps = unpack(u)
                 xi = eq.pencil_power(comps)
                 gap = float(np.linalg.norm(xi - kmat @ (kmat.T @ xi)))
@@ -761,14 +791,14 @@ def _search_case(
                     add(comps, lam)
 
     # Tactic 4: Gauss–Newton on the original equation with λ free.
-    for _ in range(opts.newton_starts):
+    for _ in range(_NEWTON_STARTS):
         w0 = np.append(rng.standard_normal(total_free), rng.standard_normal())
 
         def orig_resid(w: np.ndarray) -> np.ndarray:
             comps = unpack(w[:-1])
             return eq.lhs(comps) - w[-1] * eq.rhs(comps)
 
-        w, _ = _gauss_newton(orig_resid, w0, opts.newton_max_iter)
+        w, _ = _gauss_newton(orig_resid, w0, _NEWTON_MAX_ITER)
         add(unpack(w[:-1]), float(w[-1]))
         # Re-fit λ by least squares in case the Newton λ drifted.
         add(unpack(w[:-1]), None)
@@ -1029,6 +1059,7 @@ def iterate_least_squares(
     z = np.asarray(x0, dtype=float).ravel()
     if z.size != n:
         raise ValueError(f"start vector has length {z.size}, expected n = {n}")
+    _require_finite_norm(z, "the start vector")
     norm0 = float(np.linalg.norm(z))
     if norm0 == 0.0:
         raise ValueError("start vector must be nonzero")
@@ -1057,20 +1088,19 @@ def iterate_least_squares(
         if converged or k == max_iter:
             return state
 
-        selectors = [
-            xi_matrix(diagonal_index(e0, n, t), i, (n,) * t) for i in range(1, t + 1)
-        ]
+        anchor = diagonal_index(e0, n, t)
+        selectors = [xi_matrix(anchor, i, (n,) * t) for i in range(1, t + 1)]
         blocks = [pencil.at(lam)]
         blocks.extend(selectors[0] - sel for sel in selectors[1:])
-        kmat = _nullspace(np.vstack(blocks))
+        kmat = _kernel_rows(np.vstack(blocks)).T
         if kmat.shape[1] == 0:
             raise IterationBreakdown(
                 f"diagonal-consistent kernel is trivial at step {k} (lambda={lam:.6g})"
             )
         xi_proj = kmat @ (kmat.T @ xi)
         parts = []
-        for sel in selectors:
-            v = sel @ xi_proj
+        for i in range(1, t + 1):
+            v = extract_component(xi_proj, anchor, i, (n,) * t)
             nv = float(np.linalg.norm(v))
             if nv <= np.finfo(float).tiny:
                 continue
@@ -1111,7 +1141,7 @@ def _type_map_from_dict(td: dict) -> TypeMap:
     if "explicit" in td:
         if not isinstance(td["explicit"], list):
             raise ValueError("explicit type must be a list of factor matrices")
-        factors = [np.atleast_2d(np.asarray(b, dtype=float)) for b in td["explicit"]]
+        factors = [np.atleast_2d(_reals(b, "explicit type factors")) for b in td["explicit"]]
         if not factors:
             raise ValueError("explicit type needs at least one factor matrix")
         try:
@@ -1184,6 +1214,8 @@ def problem_to_dict(prob: UEigenProblem) -> dict:
 
 def options_from_dict(d: dict | None, **overrides) -> SolveOptions:
     """Merge a problem file's ``options`` object with explicit overrides."""
+    if d is not None and not isinstance(d, dict):
+        raise ValueError("problem options must be an object")
     merged: dict = {}
     if d:
         known = set(SolveOptions.__dataclass_fields__)

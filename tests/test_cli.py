@@ -370,27 +370,30 @@ def test_solve_reports_case_pencil_facts(tmp_path, name, mode, ranks, essential)
 @pytest.mark.parametrize(
     "command, options, flags, name",
     [
-        ("solve", {"quasi_probes": -3}, [], "quasi_probes"),
-        ("solve", {"newton_starts": -1}, [], "newton_starts"),
-        ("solve", {"proj_starts": -2}, [], "proj_starts"),
-        ("solve", {"newton_max_iter": -5}, [], "newton_max_iter"),
+        ("solve", {"max_iter": 2.5}, [], "max_iter"),
+        ("solve", {"seed": 1.5}, [], "seed"),
+        ("solve", {"recon_tol": -1e-8}, [], "recon_tol"),
+        ("solve", {"eps": 0}, [], "eps"),
         ("solve", {"max_iter": -1}, [], "max_iter"),
-        ("solve", {"pair_angles": 0}, [], "pair_angles"),
+        ("solve", {"max_iter": True}, [], "max_iter"),
         ("solve", {"residual_tol": float("nan")}, [], "residual_tol"),
         ("solve", {}, ["--residual-tol", "nan"], "residual_tol"),
         ("solve", {}, ["--residual-tol", "inf"], "residual_tol"),
-        ("solve", {}, ["--quasi-probes", "-3"], "quasi_probes"),
+        ("solve", {}, ["--max-iter", "-3"], "max_iter"),
         ("iterate", {}, ["--max-iter", "-1", "--x0", "1,0,0"], "max_iter"),
         ("solve", {"eps": float("inf")}, [], "eps"),
         ("solve", {"residual_tol": "x"}, [], "residual_tol"),
         ("solve", {"rank_tol": "x"}, [], "rank_tol"),
-        ("solve", {"quasi_probes": 2.5}, [], "quasi_probes"),
-        ("solve", {"newton_max_iter": 1.5}, [], "newton_max_iter"),
+        ("solve", {"rank_tol": -1.0}, [], "rank_tol"),
+        ("solve", {"residual_tol": 0.0}, [], "residual_tol"),
         ("solve", {"seed": "x"}, [], "seed"),
         ("solve", {"rank_tol": float("inf")}, [], "rank_tol"),
         ("solve", {}, ["--rank-tol", "nan"], "rank_tol"),
         ("solve", {"recon_tol": float("inf")}, [], "recon_tol"),
         ("iterate", {}, ["--eps", "inf", "--x0", "1,0,0"], "eps"),
+        ("solve", {"residual_tol": 10**400}, [], "residual_tol"),
+        ("solve", {"seed": -1}, [], "seed"),
+        ("solve", {}, ["--seed", "-1"], "seed"),
     ],
 )
 def test_bad_count_options_are_input_errors(tmp_path, capsys, command, options, flags, name):
@@ -464,6 +467,16 @@ def _fractional(name, *path):
     return pd
 
 
+def _set(name, value, *path):
+    """Shipped problem ``name`` with the value at key ``path`` replaced."""
+    pd = load_problem_dict(name)
+    node = pd
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return pd
+
+
 @pytest.mark.parametrize(
     "problem",
     [
@@ -478,11 +491,21 @@ def _fractional(name, *path):
         _fractional("ex_6_3_1.json", "hypermatrix", "dims", 3),
         _fractional("ex_6_3_1.json", "hypermatrix", "nz", 1, "idx", 3),
         _fractional("ex_6_3_1.json", "partition", "rows", 0),
+        _set("ex_7_1i.json", {}, "hypermatrix", "entries"),
+        _set("ex_7_1i.json", 10**400, "type", "explicit", 0, 0, 0),
+        _set("ex_7_1ii.json", float("inf"), "type", "explicit", 0, 0, 0),
+        _set("ex_6_3_1.json", 10**400, "hypermatrix", "nz", 0, "val"),
+        _set("ex_6_3_1.json", 50, "type", "r"),
+        _problem_with(type_map={"named": "H", "n": 3, "r": -1}),
+        _set("ex_7_101.json", 5, "options"),
+        _set("ex_7_101.json", [["seed"]], "options"),
     ],
     ids=[
         "explicit-null", "named-s-null", "explicit-n-null", "nz-not-a-list", "dims-over-cap",
         "named-n-fractional", "explicit-r-fractional", "order-fractional",
         "dims-fractional", "nz-index-fractional", "partition-fractional",
+        "entries-object", "explicit-entry-huge", "explicit-entry-inf", "nz-value-huge",
+        "named-r-over-cap", "named-r-negative", "options-number", "options-list",
     ],
 )
 def test_malformed_problem_files_are_input_errors(tmp_path, problem):
@@ -507,8 +530,12 @@ def test_malformed_problem_files_are_input_errors(tmp_path, problem):
         ["stp", str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json"),
          "--eps", "1"],
         ["iterate", str(PROBLEMS / "ex_7_101.json"), "--x0", "1,0,0", "--rank-tol", "1"],
+        ["solve", str(PROBLEMS / "ex_7_101.json"), "--quasi-probes", "3"],
     ],
-    ids=["top-level-seed", "top-level-format", "stp-eps", "iterate-rank-tol"],
+    ids=[
+        "top-level-seed", "top-level-format", "stp-eps", "iterate-rank-tol",
+        "solve-quasi-probes",
+    ],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     assert cli.main(argv) == 2
@@ -519,8 +546,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
 
 COMMON_FLAGS = {"--help", "--format", "--output"}
 SOLVER_FLAGS = {
-    "--seed", "--rank-tol", "--residual-tol", "--recon-tol", "--quasi-probes", "--eps",
-    "--max-iter",
+    "--seed", "--rank-tol", "--residual-tol", "--recon-tol", "--eps", "--max-iter",
 }
 
 
@@ -552,6 +578,11 @@ def test_each_command_help_lists_exactly_its_flags(capsys, command, flags):
         ("family_tol", 1e-7),
         ("family_probes", [0.0, 1.0, 2.5]),
         ("max_pair_kernel_dim", 8),
+        ("quasi_probes", 7),
+        ("newton_starts", 12),
+        ("proj_starts", 6),
+        ("newton_max_iter", 60),
+        ("pair_angles", 24),
     ],
 )
 def test_removed_solver_knobs_are_unknown_options(tmp_path, capsys, knob, value):
@@ -582,3 +613,40 @@ def test_non_finite_tolerance_flags_are_input_errors(tmp_path, capsys, command, 
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == f"error: option {name} must be finite\n"
+
+
+def test_unwritable_output_path_is_input_error(tmp_path):
+    vec = _vector_file(tmp_path / "v.json", [2.0, 4.0, 0.0, 2.0])
+    target = tmp_path / "missing" / "out.json"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypereig.cli", "decompose", vec, "--dims", "2,2",
+         "--output", str(target)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "x0, message",
+    [("1,zz,0", "error: bad x0 list '1,zz,0'"),
+     ("1,0", "error: start vector has length 2, expected n = 3"),
+     ("inf,0,0", "error: bad x0 list 'inf,0,0': entries must be finite")],
+    ids=["unparsable", "wrong-length", "non-finite"],
+)
+def test_solve_rejects_a_bad_start_vector_before_solving(
+    tmp_path, capsys, monkeypatch, x0, message
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before --x0 was checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    argv = ["solve", str(PROBLEMS / "ex_7_101.json"), "--iterate", "--x0", x0]
+    code, out = _run(argv, tmp_path)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith(message)

@@ -146,6 +146,24 @@ def test_lower_power_monic_identity():
         he.lower_power_E(2, 2, 2, 1)
 
 
+def test_power_conversions_equal_their_selector_products():
+    rng = np.random.default_rng(13)
+    for n, r, s in itertools.product((1, 2, 3), (1, 2), (1, 2, 3)):
+        a = rng.uniform(-1, 1, size=(n, n**r))
+        b = rng.uniform(-1, 1, size=(n, n**s))
+        for mu_x in range(1, n + 1):
+            pencil = he.build_d_pencil(a, b, n, r, s, mu_x)
+            if r < s:
+                assert np.array_equal(pencil.a, a @ he.lower_power_E(n, r, s, mu_x))
+            elif r > s:
+                assert np.array_equal(pencil.b, b @ he.lower_power_E(n, r, s, mu_x))
+        if s > 1:
+            e = he.diagonal_index(n**r, n**r, s)
+            assert np.array_equal(
+                he.raise_power(a, e, n, r, s), a @ he.xi_matrix(e, 1, (n**r,) * s)
+            )
+
+
 def test_build_d_pencil_shapes():
     n = 2
     a_eq = np.ones((2, 8))
@@ -293,6 +311,13 @@ def test_iteration_rejects_negative_max_iter():
         he.iterate_least_squares(prob, [1.0, 1.0, 1.0], max_iter=-1)
 
 
+def test_iteration_rejects_a_start_vector_without_a_finite_norm():
+    prob = load_problem("ex_7_101.json")
+    for x0 in ([1e300, 1e300, 0.0], [np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="start vector has a non-finite norm"):
+            he.iterate_least_squares(prob, x0)
+
+
 def test_iteration_breakdown_on_annihilating_type():
     tm = he.TypeMap(n=2, r=1, s=1, factors=(np.zeros((2, 2)),))
     prob = he.UEigenProblem(a=np.eye(2), type_map=tm, mode="D")
@@ -323,9 +348,12 @@ def test_problem_from_dict_missing_key():
 
 
 def test_options_from_dict():
-    opts = he.options_from_dict({"quasi_probes": 3}, seed=7)
-    assert opts.quasi_probes == 3
+    opts = he.options_from_dict({"max_iter": 3}, seed=7)
+    assert opts.max_iter == 3
     assert opts.seed == 7
     assert he.options_from_dict(None).seed == 42
     with pytest.raises(ValueError):
         he.options_from_dict({"no_such_option": 1})
+    for not_an_object in (5, [["seed"]], "seed"):
+        with pytest.raises(ValueError, match="options must be an object"):
+            he.options_from_dict(not_an_object)
