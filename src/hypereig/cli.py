@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -191,14 +192,27 @@ def _options(args: argparse.Namespace, file_options: dict | None = None) -> Solv
     return options_from_dict(file_options, **flags)
 
 
+def _product_report(
+    command: str, product: Callable[..., np.ndarray | Hypermatrix], *operands
+) -> tuple[dict, list[str]]:
+    """Report ``product(*operands)``; a result that overflows to inf or NaN is an input error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = product(*operands)
+    if not isinstance(result, Hypermatrix):
+        result = Hypermatrix.from_array(result)
+    if not np.all(np.isfinite(result.data)):
+        raise ValueError(f"the {command} result overflows: the inputs are too large")
+    return _hmx_report(command, result)
+
+
 def _cmd_stp(args: argparse.Namespace) -> tuple[dict, list[str]]:
     a, b = _load_array(args.a, 1, 2), _load_array(args.b, 1, 2)
-    return _hmx_report("stp", Hypermatrix.from_array(stp(a, b)))
+    return _product_report("stp", stp, a, b)
 
 
 def _cmd_kron(args: argparse.Namespace) -> tuple[dict, list[str]]:
     a, b = _load_array(args.a, 1, 2), _load_array(args.b, 1, 2)
-    return _hmx_report("kron", Hypermatrix.from_array(kron(np.atleast_2d(a), np.atleast_2d(b))))
+    return _product_report("kron", kron, np.atleast_2d(a), np.atleast_2d(b))
 
 
 def _cmd_flatten(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -213,7 +227,7 @@ def _cmd_flatten(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 def _cmd_contract(args: argparse.Namespace) -> tuple[dict, list[str]]:
     a, b = _load_hmx(args.a), _load_hmx(args.b)
-    return _hmx_report("contract", contract(a, b, _parse_pairs(args.shared)))
+    return _product_report("contract", contract, a, b, _parse_pairs(args.shared))
 
 
 def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, list[str]]:
@@ -256,6 +270,9 @@ def _pencil_evaluation(
 
 def _cmd_pencil(args: argparse.Namespace) -> tuple[dict, list[str]]:
     opts = _options(args)
+    for lam in args.at or ():
+        if not math.isfinite(lam):
+            raise ValueError(f"--at {lam} is not a finite eigenvalue")
     a = np.atleast_2d(_load_array(args.a, 1, 2))
     b = np.atleast_2d(_load_array(args.b, 1, 2))
     pencil = Pencil(a, b)

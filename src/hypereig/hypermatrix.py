@@ -86,10 +86,6 @@ class Hypermatrix:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def is_equilateral(self) -> bool:
-        return len(set(self.dims)) == 1
-
     def entry(self, idx: Sequence[int]) -> float:
         """Entry at a 1-based multi-index."""
         if len(idx) != self.order:
@@ -294,11 +290,17 @@ def _whole(value) -> int:
 
 
 def _reals(value, what: str) -> np.ndarray:
-    """``value`` (parsed JSON) as a float array, or FormatError naming ``what``."""
+    """``value`` (parsed JSON) as a finite float array, or FormatError naming ``what``.
+
+    JSON ``null`` (read as NaN), ``NaN`` and ``Infinity`` are rejected.
+    """
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{what} must be numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{what} must be finite numbers (not null, NaN or Infinity)")
+    return arr
 
 
 def hmx_from_dict(d: dict) -> Hypermatrix:
@@ -337,6 +339,8 @@ def hmx_from_dict(d: dict) -> Hypermatrix:
                 val = float(rec["val"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise FormatError(f"malformed nz record {rec!r}") from exc
+            if not math.isfinite(val):
+                raise FormatError(f"nz record {rec!r}: val must be a finite number")
             if len(idx) != order:
                 raise FormatError(f"nz index {list(idx)} has wrong length for order {order}")
             for pos, (i, n) in enumerate(zip(idx, dims), start=1):

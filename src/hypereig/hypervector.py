@@ -211,10 +211,6 @@ class MonicDecomposition:
             c.flags.writeable = False
         object.__setattr__(self, "components", comps)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.components)
-
     def reconstruct(self) -> np.ndarray:
         """``c0`` times the composed components."""
         return self.c0 * compose(self.components)

@@ -42,6 +42,9 @@ __all__ = [
 #: Multiplier on the machine-epsilon rank threshold (see :func:`svd_rank`).
 RANK_TOL_SCALE = 1e3
 
+#: Random λ values at which :func:`generic_rank` takes the rank.
+_RANK_PROBES = 5
+
 #: Number of adaptive widenings of the root-search interval.
 _MAX_WIDENINGS = 2
 
@@ -127,22 +130,15 @@ def numerical_rank(m: np.ndarray, rank_tol: float | None = None) -> int:
     return svd_rank(np.linalg.svd(mat, compute_uv=False), mat.shape, rank_tol)
 
 
-def generic_rank(
-    p: Pencil,
-    probes: int = 5,
-    seed: int = 42,
-    rank_tol: float | None = None,
-) -> int:
+def generic_rank(p: Pencil, seed: int = 42, rank_tol: float | None = None) -> int:
     """Maximal numerical rank of ``A − λB`` over seeded random probe values of λ.
 
-    Probes are drawn uniformly from ``[−1, 1]``; the generic rank is attained
-    off a finite set, so a handful of probes suffices and the fixed seed keeps
-    results reproducible.
+    ``_RANK_PROBES`` probes are drawn uniformly from ``[−1, 1]``; the generic
+    rank is attained off a finite set, so a handful of probes suffices and the
+    fixed seed keeps results reproducible.
     """
-    if probes < 3:
-        raise ValueError(f"need at least 3 probes, got {probes}")
     rng = np.random.default_rng(seed)
-    lams = rng.uniform(-1.0, 1.0, size=probes)
+    lams = rng.uniform(-1.0, 1.0, size=_RANK_PROBES)
     return max(numerical_rank(p.at(lam), rank_tol) for lam in lams)
 
 
@@ -212,6 +208,8 @@ def essential_eigenvalues_real(
     if m > n:
         raise ValueError(f"pencil must be wide or square, got shape {p.shape}")
     rg = generic_rank(p, seed=seed, rank_tol=rank_tol)
+    if rg == 0:
+        return []  # no rank can drop below 0
 
     def verified(cands: list[float]) -> list[float]:
         out: list[float] = []

@@ -10,12 +10,16 @@ unknown, turning the problem into a linear pencil in ``ξ``.
 One driver, :func:`solve`, enumerates the anchor cases of the problem's
 mode once, builds each case's original equation and pencil, records the
 pencil's generic rank and real essential eigenvalues, and searches the
-pencil kernels for structured eigenvectors:
+pencil kernels for structured eigenvectors.  Every case is one equation
+``A·x^lhs = λ·B̃·x^rhs`` over a tuple ``x`` of monic components, where
+``x^k`` is the Kronecker product of the tuple repeated ``k`` times:
 
-* D mode — diagonal witnesses ``x = z ⊗ … ⊗ z`` (one anchor case per
-  leading index of ``z``);
-* U mode — decomposable witnesses ``x = x_1 ⊗ … ⊗ x_r`` (one case per tuple
-  of component leading indices).
+* U mode — decomposable witnesses ``x_1 ⊗ … ⊗ x_r``, over
+  ``x = (x_1, …, x_r)`` with powers ``(1, s)`` (one case per tuple of
+  component leading indices);
+* D mode — diagonal witnesses ``z ⊗ … ⊗ z``, over ``x = (z,)`` with powers
+  ``(p, q)``: a U-eigenvector whose components are tied (one case per
+  leading index of ``z``).
 
 It returns the per-case pencil facts and the witnesses.  :func:`d_solve`,
 :func:`u_solve` (witnesses only, in a fixed mode) and :func:`case_pencil`
@@ -33,7 +37,7 @@ is reported once, with λ canonicalized to 0.
 
 :func:`iterate_least_squares` implements the alternating least-squares
 iteration: a closed-form λ update, projection of the current diagonal power
-onto the diagonal-consistent kernel, and component extraction/averaging.
+onto the diagonal-consistent kernel, and extraction of the next component.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .hypervector import (
     DEFAULT_RECON_TOL,
     MonicDecomposition,
     _xi_slice,
-    compose,
     diagonal_index,
     extract_component,
     index_join,
@@ -69,7 +72,14 @@ from .pencil_eigen import (
     generic_rank,
     kernel_basis,
 )
-from .stp_core import MAX_RESULT_ENTRIES, SizeLimitError, _check_size, kron, stp_power
+from .stp_core import (
+    MAX_RESULT_ENTRIES,
+    SizeLimitError,
+    _check_size,
+    _kron_vectors,
+    kron,
+    stp_power,
+)
 
 __all__ = [
     "CaseFacts",
@@ -372,6 +382,8 @@ def _is_number(value, kind: type) -> bool:
 
 #: Tactic 2 scans two-vector kernel combinations up to this kernel dimension.
 _MAX_PAIR_KERNEL_DIM = 8
+#: The repeated component groups of a pencil vector agree to within this (max-norm).
+_TIE_TOL = 1e-9
 #: Witnesses whose pencil vectors ξ differ by at most this (max-norm) are one.
 _DEDUP_TOL = 1e-6
 #: A component moves between two witnesses when it changes by more than this.
@@ -593,101 +605,83 @@ def _rank_one_factor(w: np.ndarray, n: int) -> bool:
     return svals.size < 2 or svals[1] <= 1e-6 * max(svals[0], np.finfo(float).tiny)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Equation:
-    """One anchor case: its pencil and the original equation ``lhs = λ·rhs``.
+    """One anchor case: its pencil and the original equation ``A·x^lhs = λ·B̃·x^rhs``.
 
-    Both sides act on the case's monic components (``(z,)`` in D mode,
-    ``(x_1, …, x_r)`` in U mode).  ``pencil_power`` maps components to the
-    pencil variable ``ξ``; ``decomposition`` to the witness's monic
-    decomposition; ``components_of`` splits a pencil vector back into
-    components on this case, or returns None.
+    ``x`` is the case's tuple of monic components, ``(z,)`` in D mode and
+    ``(x_1, …, x_r)`` in U mode, and ``x^k`` is the Kronecker product of the
+    tuple repeated ``k`` times (:func:`_power`).  The pencil variable is
+    ``ξ = x^xi``, and a witness reports the components of ``x^reported``.
+    D mode is ``(lhs, rhs, xi, reported) = (p, q, t, t)`` with
+    ``t = max(p, q)``: a D-eigenvector is a U-eigenvector whose components are
+    tied.  U mode is ``(1, s, s, 1)``.
     """
 
     case: tuple[int, ...]
     pencil: Pencil
-    lhs: Callable[[Sequence[np.ndarray]], np.ndarray]
-    rhs: Callable[[Sequence[np.ndarray]], np.ndarray]
-    pencil_power: Callable[[Sequence[np.ndarray]], np.ndarray]
-    decomposition: Callable[[Sequence[np.ndarray]], MonicDecomposition]
-    components_of: Callable[[np.ndarray, float], list[np.ndarray] | None]
+    a: np.ndarray
+    bt: np.ndarray
+    lhs: int
+    rhs: int
+    xi: int
+    reported: int
     n: int
     scale: float
 
 
-def _on_case(comps: Sequence[np.ndarray], case: tuple[int, ...]) -> list[np.ndarray] | None:
-    """The components as float arrays when their leading indices are ``case``."""
-    comps = [np.asarray(c, dtype=float) for c in comps]
+def _power(comps: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """``x^k``: the Kronecker product of the component tuple repeated ``k`` times."""
+    return _kron_vectors([_kron_vectors(comps)] * k)
+
+
+def _sides(eq: _Equation, comps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the case equation at ``x = comps``: ``A·x^lhs`` and ``B̃·x^rhs``."""
+    return eq.a @ _power(comps, eq.lhs), eq.bt @ _power(comps, eq.rhs)
+
+
+def _components_of(eq: _Equation, v: np.ndarray, recon_tol: float) -> list[np.ndarray] | None:
+    """Split a pencil vector ``ξ = x^xi`` into the case's components, or None.
+
+    ``ξ`` must decompose over ``xi`` repeats of ``|case|`` factors of dimension
+    ``n``, the repeats must agree to ``_TIE_TOL``, and the components' leading
+    indices must be the case.
+    """
+    width = len(eq.case)
+    d = monic_decompose(v, (eq.n,) * (width * eq.xi), recon_tol)
+    if d is None:
+        return None
+    comps = d.components
+    if any(np.max(np.abs(c - comps[j % width])) > _TIE_TOL for j, c in enumerate(comps)):
+        return None
     try:
-        return comps if tuple(mu(c) for c in comps) == case else None
+        on_case = tuple(mu(c) for c in comps[:width]) == eq.case
     except ValueError:
         return None
+    return list(comps[:width]) if on_case else None
 
 
 def _case_equation(prob: UEigenProblem, case: tuple[int, ...]) -> _Equation:
     """The equation and pencil of one anchor case, built for the problem's mode.
 
-    D mode, ``case = (e₀,)``: the unknown is ``z`` with ``ξ = z^t``,
-    ``t = max(p, q)``, and the pencil is homogenized by the anchored lowering
-    map.  U mode, ``case = (e_1, …, e_r)``: the unknowns are the components of
-    ``x = x_1 ⊗ … ⊗ x_r`` with ``ξ = xˢ``, and ``A`` is raised to power ``s``.
+    D mode, ``case = (e₀,)``: the pencil is homogenized by the anchored
+    lowering map.  U mode, ``case = (e_1, …, e_r)``: ``A`` is raised to power
+    ``s``.  The powers are those of :class:`_Equation`.
     """
     tm = prob.type_map
     n, a, bt = prob.n, prob.a, tm.composed
-    scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(bt)))
-
     if prob.mode == "D":
-        (e0,) = case
         p, q = prob.lhs_power, tm.input_power
         t = max(p, q)
-
-        def d_components(v: np.ndarray, recon_tol: float) -> list[np.ndarray] | None:
-            d = monic_decompose(v, (n,) * t, recon_tol)
-            if d is None or not is_diagonal(d):
-                return None
-            return _on_case(d.components[:1], case)
-
-        return _Equation(
-            case=case,
-            pencil=build_d_pencil(a, bt, n, p, q, e0),
-            lhs=lambda comps: a @ stp_power(comps[0], p),
-            rhs=lambda comps: bt @ stp_power(comps[0], q),
-            pencil_power=lambda comps: stp_power(comps[0], t),
-            decomposition=lambda comps: MonicDecomposition(
-                e=diagonal_index(e0, n, t), c0=1.0, components=(comps[0],) * t
-            ),
-            components_of=d_components,
-            n=n,
-            scale=scale,
-        )
-
-    r, s = tm.r, tm.s
-    e_x = index_join(case, n, r)
-
-    def u_components(v: np.ndarray, recon_tol: float) -> list[np.ndarray] | None:
-        d = monic_decompose(v, (n,) * (r * s), recon_tol)
-        if d is None:
-            return None
-        groups = [d.components[k * r : (k + 1) * r] for k in range(s)]
-        for other in groups[1:]:
-            for ca, cb in zip(groups[0], other):
-                if float(np.max(np.abs(ca - cb))) > 1e-7:
-                    return None
-        return _on_case(groups[0], case)
-
-    return _Equation(
-        case=case,
-        pencil=Pencil(raise_power(a, diagonal_index(e_x, n**r, s), n, r, s), bt),
-        lhs=lambda comps: a @ compose(comps),
-        rhs=lambda comps: bt @ stp_power(compose(comps), s),
-        pencil_power=lambda comps: stp_power(compose(comps), s),
-        decomposition=lambda comps: MonicDecomposition(
-            e=e_x, c0=1.0, components=tuple(comps)
-        ),
-        components_of=u_components,
-        n=n,
-        scale=scale,
-    )
+        pencil = build_d_pencil(a, bt, n, p, q, case[0])
+        powers = (p, q, t, t)
+    else:
+        r, s = tm.r, tm.s
+        anchor = diagonal_index(index_join(case, n, r), n**r, s)
+        pencil = Pencil(raise_power(a, anchor, n, r, s), bt)
+        powers = (1, s, s, 1)
+    scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(bt)))
+    return _Equation(case, pencil, a, bt, *powers, n=n, scale=scale)
 
 
 def _verify_witness(
@@ -704,7 +698,7 @@ def _verify_witness(
         if not _component_is_case_monic(v, anchor):
             return None
     atol = opts.residual_tol * eq.scale
-    lhs, rhs = eq.lhs(comps), eq.rhs(comps)
+    lhs, rhs = _sides(eq, comps)
     lhs_norm, rhs_norm = float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs))
     if lhs_norm <= atol and rhs_norm <= atol:
         # Both sides vanish: any λ works.  Keep a requested λ, else report at 0.
@@ -716,10 +710,13 @@ def _verify_witness(
     residual = float(np.linalg.norm(lhs - lam_final * rhs))
     if residual > atol:
         return None
-    decomp = eq.decomposition(comps)
+    reported = tuple(comps) * eq.reported
+    decomp = MonicDecomposition(
+        e=index_join(eq.case * eq.reported, eq.n, len(reported)), c0=1.0, components=reported
+    )
     return EigenWitness(
         lam=lam_final,
-        xi=eq.pencil_power(comps),
+        xi=_power(comps, eq.xi),
         decomposition=decomp,
         diagonal=is_diagonal(decomp),
         residual=residual,
@@ -759,7 +756,7 @@ def _search_case(
 
         # Tactic 1: kernel basis vectors through the decomposition certificate.
         for v in basis:
-            comps = eq.components_of(v, opts.recon_tol)
+            comps = _components_of(eq, v, opts.recon_tol)
             if comps is not None:
                 add(comps, lam)
 
@@ -770,7 +767,7 @@ def _search_case(
                     w = math.cos(theta) * kmat[:, i] + math.sin(theta) * kmat[:, j]
                     if not _rank_one_factor(w, n):
                         continue
-                    comps = eq.components_of(w, opts.recon_tol)
+                    comps = _components_of(eq, w, opts.recon_tol)
                     if comps is not None:
                         add(comps, lam)
 
@@ -780,23 +777,19 @@ def _search_case(
                 u0 = rng.standard_normal(total_free)
 
                 def proj_resid(u: np.ndarray) -> np.ndarray:
-                    xi = eq.pencil_power(unpack(u))
+                    xi = _power(unpack(u), eq.xi)
                     return xi - kmat @ (kmat.T @ xi)
 
                 u, _ = _gauss_newton(proj_resid, u0, _NEWTON_MAX_ITER)
-                comps = unpack(u)
-                xi = eq.pencil_power(comps)
-                gap = float(np.linalg.norm(xi - kmat @ (kmat.T @ xi)))
-                if gap <= 1e-8 * max(1.0, float(np.linalg.norm(xi))):
-                    add(comps, lam)
+                add(unpack(u), lam)
 
     # Tactic 4: Gauss–Newton on the original equation with λ free.
     for _ in range(_NEWTON_STARTS):
         w0 = np.append(rng.standard_normal(total_free), rng.standard_normal())
 
         def orig_resid(w: np.ndarray) -> np.ndarray:
-            comps = unpack(w[:-1])
-            return eq.lhs(comps) - w[-1] * eq.rhs(comps)
+            lhs, rhs = _sides(eq, unpack(w[:-1]))
+            return lhs - w[-1] * rhs
 
         w, _ = _gauss_newton(orig_resid, w0, _NEWTON_MAX_ITER)
         add(unpack(w[:-1]), float(w[-1]))
@@ -1042,8 +1035,9 @@ def iterate_least_squares(
     eigenvalue ``λ = ⟨B̃ξ_q, Aξ_p⟩ / ⟨B̃ξ_q, B̃ξ_q⟩``; (b) orthogonal projection
     of ``ξ = z^t`` onto the kernel of the pencil at λ intersected with the
     diagonal-consistency rows (pairwise differences of the Ξ extractions);
-    (c) the next ``z`` as the normalized, sign-aligned average of the
-    extracted components; (d) stop when ``‖z_{k+1} − z_k‖ < eps``.
+    (c) the next ``z`` as the normalized, sign-aligned first Ξ extraction of
+    the projection (the consistency rows make all ``t`` extractions equal);
+    (d) stop when ``‖z_{k+1} − z_k‖ < eps``.
 
     Each step's state (step index, current ``z``, λ, original-equation
     residual) is appended to ``history`` when a list is supplied; the final
@@ -1097,29 +1091,15 @@ def iterate_least_squares(
             raise IterationBreakdown(
                 f"diagonal-consistent kernel is trivial at step {k} (lambda={lam:.6g})"
             )
-        xi_proj = kmat @ (kmat.T @ xi)
-        parts = []
-        for i in range(1, t + 1):
-            v = extract_component(xi_proj, anchor, i, (n,) * t)
-            nv = float(np.linalg.norm(v))
-            if nv <= np.finfo(float).tiny:
-                continue
-            v = v / nv
-            if float(v @ z) < 0.0:
-                v = -v
-            parts.append(v)
-        if not parts:
+        # The consistency rows make every extracted part equal: read slot 1.
+        v = extract_component(kmat @ (kmat.T @ xi), anchor, 1, (n,) * t)
+        nv = float(np.linalg.norm(v))
+        if nv <= np.finfo(float).tiny:
             raise IterationBreakdown(
-                f"all extracted components vanished at step {k} (lambda={lam:.6g})"
+                f"the extracted component vanished at step {k} (lambda={lam:.6g})"
             )
-        total = np.sum(parts, axis=0)
-        total_norm = float(np.linalg.norm(total))
-        if total_norm <= np.finfo(float).tiny:
-            raise IterationBreakdown(
-                f"extracted components cancelled at step {k} (lambda={lam:.6g})"
-            )
-        prev = z
-        z = total / total_norm
+        v = v / nv
+        prev, z = z, (v if float(v @ z) >= 0.0 else -v)
     return state
 
 

@@ -40,6 +40,16 @@ def _matrix_file(path, rows):
     )
 
 
+def _cli_process(argv):
+    """Run the CLI in a fresh interpreter, so that stderr shows any leaked warning."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "hypereig.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def _run(args, tmp_path, structured=True):
     out = tmp_path / "out.json"
     argv = list(args) + ["--output", str(out)]
@@ -185,6 +195,21 @@ def test_pencil_report(tmp_path):
     assert by_lam[0.0]["class"] == "quasi"
     assert by_lam[0.0]["kernel_dim"] == 1
     assert all(ev["residual"] <= 1e-10 for ev in rep["evaluations"])
+
+
+def test_pencil_of_generic_rank_zero_has_no_essential_eigenvalues(tmp_path):
+    zero = _matrix_file(tmp_path / "z.json", np.zeros((2, 3)))
+    code, rep = _run(["pencil", zero, zero], tmp_path)
+    assert code == 0
+    assert rep["generic_rank"] == 0
+    assert rep["essential"] == []
+
+
+def test_solve_with_every_pencil_of_rank_zero_succeeds(tmp_path):
+    """A rank tolerance above every singular value makes each case's pencil rank 0."""
+    code, rep = _run(["solve", str(PROBLEMS / "ex_6_3_1.json"), "--rank-tol", "1e300"], tmp_path)
+    assert code == 0
+    assert [(sec["generic_rank"], sec["essential"]) for sec in rep["cases"]] == [(0, [])] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +548,7 @@ def _set(name, value, *path):
     ],
 )
 def test_malformed_problem_files_are_input_errors(tmp_path, problem):
-    path = _write_json(tmp_path / "prob.json", problem)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypereig.cli", "solve", path],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _cli_process(["solve", _write_json(tmp_path / "prob.json", problem)])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
@@ -632,16 +651,54 @@ def test_non_finite_tolerance_flags_are_input_errors(tmp_path, capsys, command, 
 def test_unwritable_output_path_is_input_error(tmp_path):
     vec = _vector_file(tmp_path / "v.json", [2.0, 4.0, 0.0, 2.0])
     target = tmp_path / "missing" / "out.json"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypereig.cli", "decompose", vec, "--dims", "2,2",
-         "--output", str(target)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _cli_process(["decompose", vec, "--dims", "2,2", "--output", str(target)])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def _dense_with(value):
+    return {"order": 2, "dims": [2, 2], "format": "dense", "entries": [value, 1.0, 2.0, 3.0]}
+
+
+def _sparse_with(value):
+    return {"order": 2, "dims": [2, 2], "format": "sparse", "nz": [{"idx": [1, 1], "val": value}]}
+
+
+_HUGE = {"order": 2, "dims": [2, 2], "format": "dense", "entries": [1e308] * 4}
+_PENCIL_FILES = [str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json")]
+
+
+@pytest.mark.parametrize(
+    "operand, argv, message",
+    [
+        (_dense_with(None), ["flatten", "M", "--rows", "1"], "finite number"),
+        (_dense_with(float("nan")), ["flatten", "M", "--rows", "1"], "finite number"),
+        (_dense_with(float("inf")), ["flatten", "M", "--rows", "1"], "finite number"),
+        (_sparse_with(float("nan")), ["flatten", "M", "--rows", "1"], "finite number"),
+        (_sparse_with(float("-inf")), ["flatten", "M", "--rows", "1"], "finite number"),
+        (_HUGE, ["stp", "M", "M"], "the stp result overflows"),
+        (_HUGE, ["kron", "M", "M"], "the kron result overflows"),
+        (_HUGE, ["contract", "M", "M", "--shared", "2:1"], "the contract result overflows"),
+        (None, ["pencil", *_PENCIL_FILES, "--at", "inf"], "--at inf"),
+        (None, ["pencil", *_PENCIL_FILES, "--at", "nan"], "--at nan"),
+    ],
+    ids=[
+        "dense-null", "dense-nan", "dense-inf", "sparse-nan", "sparse-inf",
+        "stp-overflow", "kron-overflow", "contract-overflow", "pencil-at-inf", "pencil-at-nan",
+    ],
+)
+def test_non_finite_numbers_are_input_errors(tmp_path, operand, argv, message):
+    if operand is not None:
+        path = _write_json(tmp_path / "m.json", operand)
+        argv = [path if arg == "M" else arg for arg in argv]
+    proc = _cli_process(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert "Warning" not in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

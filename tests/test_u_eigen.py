@@ -249,6 +249,34 @@ def test_u_solve_on_matrix_problem():
     )
 
 
+def test_u_solve_with_two_type_factors_matches_d_solve():
+    """ex_7_1ii has p = r = 1 and s = 2: U mode splits ξ = x ⊗ x into two tied groups."""
+    prob_d = load_problem_dict("ex_7_1ii.json")
+    prob_d["mode"] = "U"
+    prob = he.problem_from_dict(prob_d)
+    ws = he.u_solve(prob)
+    expected = he.d_solve(load_problem("ex_7_1ii.json"))
+    assert [(w.case, w.lam) for w in ws] == [(w.case, w.lam) for w in expected]
+    for w, d in zip(ws, expected):
+        assert np.array_equal(w.xi, d.xi)
+        assert np.array_equal(w.decomposition.components[0], d.decomposition.components[0])
+    b1, b2 = prob.type_map.factors
+    for w in ws:
+        (x,) = w.decomposition.components
+        assert np.allclose(prob.a @ x, w.lam * np.kron(b1 @ x, b2 @ x), atol=1e-12)
+
+
+def test_component_split_requires_tied_groups():
+    prob_d = load_problem_dict("ex_7_1ii.json")
+    prob_d["mode"] = "U"
+    eq = he.u_eigen._case_equation(he.problem_from_dict(prob_d), (2,))
+    x, y = np.array([0.0, 1.0, 0.5]), np.array([0.0, 1.0, -0.5])
+    (split,) = he.u_eigen._components_of(eq, np.kron(x, x), 1e-8)
+    assert np.array_equal(split, x)
+    assert he.u_eigen._components_of(eq, np.kron(x, y), 1e-8) is None
+    assert he.u_eigen._components_of(eq, np.kron(x[::-1], x[::-1]), 1e-8) is None  # case (1,)
+
+
 def test_solve_reports_case_facts_with_d_solve_witnesses():
     prob = load_problem("ex_6_3_1.json")
     result = he.solve(prob)
@@ -338,6 +366,18 @@ def test_problem_dict_roundtrip():
     assert np.array_equal(prob.a, again.a)
     assert np.array_equal(prob.type_map.composed, again.type_map.composed)
     assert prob.mode == again.mode
+
+
+def test_problem_dict_roundtrip_named_type():
+    d = load_problem_dict("ex_6_3_1.json")
+    prob = he.problem_from_dict(d)
+    back = he.problem_to_dict(prob)
+    assert back["type"] == d["type"]
+    again = he.problem_from_dict(back)
+    assert again.type_map.kind == "markov"
+    assert np.array_equal(prob.a, again.a)
+    assert np.array_equal(prob.type_map.composed, again.type_map.composed)
+    assert again.mode == "D"
 
 
 def test_problem_from_dict_missing_key():
