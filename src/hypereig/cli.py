@@ -16,6 +16,7 @@ floats; byte-identical for identical inputs and seed).  Exit codes: 0 success
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -435,7 +436,15 @@ def _cmd_iterate(args: argparse.Namespace) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``main`` may run many times in one interpreter (the benchmark and the
+    tests call it in-process).  Parsing does not change the parser, and a
+    parser is a cyclic object graph that only the cycle collector frees, so
+    one per call would cost time and leave garbage behind.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "structured"), default="text", dest="fmt"

@@ -11,11 +11,15 @@ Real essential eigenvalues are located as real roots of the Gram determinant
 ``p(λ) = det[(A−λB)(A−λB)ᵀ]``, a polynomial of degree at most twice the row
 count: it is evaluated on Chebyshev nodes over a bracketing interval, fitted
 exactly, and every candidate root is verified by an independent rank check
-before being reported.  Square pencils delegate to the QZ algorithm.
+before being reported.  When the determinant underflows at every node or
+overflows at one, both sides are scaled by a power of two, which keeps the
+roots, and the scan is repeated.  Square pencils delegate to the QZ
+algorithm.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -244,15 +248,21 @@ def essential_eigenvalues_real(
     deg = 2 * rows_count
     rho = float(np.linalg.norm(p.a, 2)) / max(float(np.linalg.norm(p.b, 2)), np.finfo(float).tiny)
     radius = 10.0 * max(rho, np.finfo(float).tiny)
+    rescaled = False
 
     for _ in range(_MAX_WIDENINGS + 1):
         nodes = np.cos(np.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1))) * radius
-        vals = np.array([_gram_det(work, lam) for lam in nodes])
-        peak = float(np.max(np.abs(vals)))
+        vals, peak = _gram_scan(work, nodes)
+        if not 0.0 < peak < np.inf and not rescaled:
+            # The determinant under- or overflowed at the pencil's own scale.
+            work, rescaled = _power_of_two_scaled(work), True
+            vals, peak = _gram_scan(work, nodes)
         if peak == 0.0:
             # Gram determinant identically zero: row selection failed to fix
             # the rank; nothing to report from this scan.
             return []
+        if not peak < np.inf:
+            raise ValueError("the Gram determinant of the pencil overflows even after rescaling")
         coeffs = np.polynomial.chebyshev.chebfit(nodes / radius, vals / peak, deg)
         fit_err = float(
             np.max(np.abs(np.polynomial.chebyshev.chebval(nodes / radius, coeffs) - vals / peak))
@@ -285,9 +295,22 @@ def essential_eigenvalues_real(
     return verified(cands)
 
 
-def _gram_det(p: Pencil, lam: float) -> float:
-    m = p.at(lam)
-    return float(np.linalg.det(m @ m.T))
+def _gram_scan(p: Pencil, nodes: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gram determinants at the nodes and their largest magnitude (0, inf or nan on failure)."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        vals = np.array([float(np.linalg.det(m @ m.T)) for m in map(p.at, nodes)])
+        return vals, float(np.max(np.abs(vals)))
+
+
+def _power_of_two_scaled(p: Pencil) -> Pencil:
+    """Both sides times the power of two that brings the largest entry into [0.5, 1).
+
+    Scaling by a power of two is exact and keeps every eigenvalue; it
+    divides the Gram determinant of ``k`` rows by ``4^(k·exponent)``.
+    """
+    top = max(float(np.max(np.abs(p.a))), float(np.max(np.abs(p.b))))
+    exponent = math.frexp(top)[1]
+    return Pencil(np.ldexp(p.a, -exponent), np.ldexp(p.b, -exponent))
 
 
 def _cluster_centroids(roots: np.ndarray, radius: float) -> list[float]:

@@ -31,6 +31,11 @@ two-vector combinations with a rank-1 reshape criterion, refines with damped
 Gauss–Newton projection, and additionally runs multi-start Gauss–Newton on
 the original equation with λ free.  Every candidate is verified against the
 *original* equation before being reported, and witnesses are returned monic.
+Each tactic works on a batch: a stack of combinations or of Gauss–Newton
+points, one per row.  Every row is computed with the same floating-point
+operations as the row alone (elementwise products, one matrix-vector or dot
+kernel per row, one least-squares solve per row), so the witnesses do not
+depend on the batching, bit for bit.
 
 A witness that annihilates both sides satisfies the equation for every λ and
 is reported once, with λ canonicalized to 0.
@@ -76,7 +81,6 @@ from .stp_core import (
     MAX_RESULT_ENTRIES,
     SizeLimitError,
     _check_size,
-    _kron_vectors,
     kron,
     stp_power,
 )
@@ -543,66 +547,83 @@ def _lambda_candidates(essential: Sequence[float], opts: SolveOptions) -> list[f
     return out
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``, bit for bit ``a_i @ b_i``.
+
+    A stacked row-times-column product runs the dot kernel of each row
+    alone; a sum of products would add in another order.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm`` of that row alone."""
+    with np.errstate(over="ignore"):  # as in norm, a huge row's norm is inf, silently
+        return np.sqrt(_dots(rows, rows))
+
+
 def _gauss_newton(
-    fun: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
+    fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    starts: np.ndarray,
     max_iter: int,
-) -> tuple[np.ndarray, float]:
-    """Damped Gauss–Newton with finite-difference Jacobian; returns (x, ‖f(x)‖)."""
-    x = np.asarray(x0, dtype=float).copy()
-    f = fun(x)
-    fnorm = float(np.linalg.norm(f))
+) -> np.ndarray:
+    """Damped Gauss–Newton from every row of ``starts`` at once; returns the end points.
+
+    ``fun(points, owners)`` maps a ``(k × m)`` stack of points, with the
+    index of the start each point belongs to (ascending), to the ``(k × F)``
+    stack of their residuals, each row computed exactly as it would be
+    alone.  Every
+    row keeps its own central-difference Jacobian, least-squares step,
+    line search (the first of the step scales 1, 1/2, …, 2⁻²⁴ that lowers the
+    residual norm) and stopping rule, so each end point is the one a run
+    from that start alone reaches, bit for bit.  Per iteration the rows
+    still running share one ``fun`` call for their Jacobians and two for
+    their line searches: the full step, then the 24 shorter ones together
+    for the rows whose full step failed.
+    """
+    scales = 0.5 ** np.arange(25)
+    x = np.array(starts, dtype=float)
+    m = x.shape[1]
+    f = fun(x, np.arange(len(x)))
+    fnorm = _norms(f)
+    live = np.arange(len(x))
+    cols = np.arange(m)
     for _ in range(max_iter):
-        if fnorm < 1e-14:
+        live = live[~(fnorm[live] < 1e-14)]
+        if not live.size:
             break
-        jac = np.empty((f.size, x.size))
-        for j in range(x.size):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            jac[:, j] = (fun(xp) - fun(xm)) / (2 * h)
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        scale = 1.0
-        accepted = False
-        for _ in range(25):
-            xn = x + scale * step
-            fn = fun(xn)
-            fn_norm = float(np.linalg.norm(fn))
-            if fn_norm < fnorm:
-                x, f, fnorm = xn, fn, fn_norm
-                accepted = True
+        h = 1e-7 * np.maximum(1.0, np.abs(x[live]))
+        probes = np.repeat(x[live, None, :], 2 * m, axis=1)
+        probes[:, cols, cols] += h
+        probes[:, m + cols, cols] -= h
+        sides = fun(probes.reshape(-1, m), np.repeat(live, 2 * m))
+        sides = sides.reshape(live.size, 2, m, -1)
+        jac_t = (sides[:, 0] - sides[:, 1]) / (2 * h)[:, :, None]
+        steps = np.array(
+            [np.linalg.lstsq(jt.T, -f[i], rcond=None)[0] for i, jt in zip(live, jac_t)]
+        )
+        finite = np.all(np.isfinite(steps), axis=1)
+        live, steps = live[finite], steps[finite]
+        scale = np.zeros(live.size)  # the accepted step scale; 0 while none is found
+        for trials in (scales[:1], scales[1:]):
+            todo = np.flatnonzero(scale == 0.0)
+            if not todo.size:
                 break
-            scale /= 2.0
-        if not accepted or float(np.linalg.norm(step)) * scale < 1e-15 * max(
-            1.0, float(np.linalg.norm(x))
-        ):
-            break
-    return x, fnorm
-
-
-def _embed_component(free: np.ndarray, n: int, anchor: int) -> np.ndarray:
-    """Monic component with leading index ``anchor``: zeros, then 1, then free entries."""
-    v = np.zeros(n)
-    v[anchor - 1] = 1.0
-    if free.size:
-        v[anchor:] = free
-    return v
-
-
-def _component_is_case_monic(v: np.ndarray, anchor: int, tol: float = 1e-8) -> bool:
-    if abs(v[anchor - 1] - 1.0) > tol:
-        return False
-    return bool(np.all(np.abs(v[: anchor - 1]) <= tol))
-
-
-def _rank_one_factor(w: np.ndarray, n: int) -> bool:
-    """Quick necessary test that ``w`` splits off an ``n``-dimensional leading factor."""
-    mat = w.reshape(n, -1)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return svals.size < 2 or svals[1] <= 1e-6 * max(svals[0], np.finfo(float).tiny)
+            rows = live[todo]
+            points = x[rows, None, :] + trials[:, None] * steps[todo, None, :]
+            values = fun(points.reshape(-1, m), np.repeat(rows, trials.size))
+            values = values.reshape(todo.size, trials.size, -1)
+            norms = _norms(values)
+            lower = norms < fnorm[rows, None]
+            hit = np.flatnonzero(lower.any(axis=1))
+            first = lower[hit].argmax(axis=1)
+            x[rows[hit]] = points[hit, first]
+            f[rows[hit]] = values[hit, first]
+            fnorm[rows[hit]] = norms[hit, first]
+            scale[todo[hit]] = trials[first]
+        short = _norms(steps) * scale < 1e-15 * np.maximum(1.0, _norms(x[live]))
+        live = live[(scale > 0.0) & ~short]
+    return x
 
 
 @dataclass(frozen=True)
@@ -630,14 +651,35 @@ class _Equation:
     scale: float
 
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Kronecker product of two vectors, row by row over any leading batch axes."""
+    return (u[..., :, None] * v[..., None, :]).reshape(*u.shape[:-1], -1)
+
+
 def _power(comps: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """``x^k``: the Kronecker product of the component tuple repeated ``k`` times."""
-    return _kron_vectors([_kron_vectors(comps)] * k)
+    """``x^k``: the Kronecker product of the component tuple repeated ``k`` times.
+
+    Each component is a vector, or a stack of vectors (one point per row);
+    a stack gives the powers of its rows, each equal to its own power bit
+    for bit.
+    """
+    x = functools.reduce(_outer, comps)
+    return functools.reduce(_outer, [x] * k)
+
+
+def _matvecs(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` for a vector or for each row of a stack, bit for bit as one vector.
+
+    A stacked matrix-vector product runs one matrix-vector kernel per row;
+    ``x @ m.T`` would run one matrix-matrix kernel, whose sums round
+    differently.
+    """
+    return (m @ x[..., None])[..., 0]
 
 
 def _sides(eq: _Equation, comps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the case equation at ``x = comps``: ``A·x^lhs`` and ``B̃·x^rhs``."""
-    return eq.a @ _power(comps, eq.lhs), eq.bt @ _power(comps, eq.rhs)
+    return _matvecs(eq.a, _power(comps, eq.lhs)), _matvecs(eq.bt, _power(comps, eq.rhs))
 
 
 def _components_of(eq: _Equation, v: np.ndarray, recon_tol: float) -> list[np.ndarray] | None:
@@ -684,118 +726,190 @@ def _case_equation(prob: UEigenProblem, case: tuple[int, ...]) -> _Equation:
     return _Equation(case, pencil, a, bt, *powers, n=n, scale=scale)
 
 
+def _verify_rows(
+    eq: _Equation,
+    comps: Sequence[np.ndarray],
+    lams: Sequence[float | None],
+    opts: SolveOptions,
+) -> list[EigenWitness | None]:
+    """Check candidates, one per row, against the case; None where one is rejected.
+
+    ``comps`` holds one ``(rows × n)`` stack per component of ``x``, and
+    ``lams`` a λ per row (None: fit λ by least squares).  A row passes when
+    its components are finite, at most 1e8 in size and monic with the case's
+    leading indices, and its original-equation residual is at most
+    ``opts.residual_tol·scale``.  Every verdict and witness is the one of
+    its row checked alone, bit for bit.
+    """
+    x = np.concatenate([np.asarray(c, dtype=float) for c in comps], axis=1) + 0.0  # clears -0.0
+    # The entries that the case fixes: each component's leading 1 and the zeros before it.
+    fixed = [j * eq.n + i for j, anchor in enumerate(eq.case) for i in range(anchor)]
+    target = [float(i == anchor - 1) for anchor in eq.case for i in range(anchor)]
+    ok = np.all(np.isfinite(x), axis=1) & ~(np.max(np.abs(x), axis=1) > 1e8)
+    ok &= np.all(np.abs(x[:, fixed] - np.array(target)) <= 1e-8, axis=1)
+    out: list[EigenWitness | None] = [None] * len(lams)
+    rows = np.flatnonzero(ok)
+    if not rows.size:
+        return out
+    x = x[rows]
+    comps = [x[:, j * eq.n : (j + 1) * eq.n] for j in range(len(eq.case))]
+    atol = opts.residual_tol * eq.scale
+    lhs, rhs = _sides(eq, comps)
+    lhs_norm, rhs_norm = _norms(lhs), _norms(rhs)
+    # Both sides vanish: any λ works.  Keep a requested λ, else report at 0.
+    vanish = (lhs_norm <= atol) & (rhs_norm <= atol)
+    # A nonzero lhs with a zero rhs: no λ satisfies the equation.
+    keep = vanish | ~(rhs_norm <= atol)
+    given = [lams[r] for r in rows]
+    lam_final = np.array([0.0 if lam is None else float(lam) for lam in given])
+    fit = keep & ~vanish & np.array([lam is None for lam in given])
+    if fit.any():
+        lam_final[fit] = _dots(rhs[fit], lhs[fit]) / _dots(rhs[fit], rhs[fit])
+    residual = _norms(lhs - lam_final[:, None] * rhs)
+    for i in np.flatnonzero(keep & ~(residual > atol)):
+        point = tuple(c[i] for c in comps)
+        reported = point * eq.reported
+        decomp = MonicDecomposition(
+            e=index_join(eq.case * eq.reported, eq.n, len(reported)), c0=1.0, components=reported
+        )
+        out[rows[i]] = EigenWitness(
+            lam=float(lam_final[i]),
+            xi=_power(point, eq.xi),
+            decomposition=decomp,
+            diagonal=is_diagonal(decomp),
+            residual=float(residual[i]),
+            case=eq.case,
+        )
+    return out
+
+
 def _verify_witness(
     eq: _Equation,
     comps: Sequence[np.ndarray],
     lam: float | None,
     opts: SolveOptions,
 ) -> EigenWitness | None:
-    """Monic-anchor check + original-equation residual check; None when rejected."""
-    comps = [np.asarray(c, dtype=float) + 0.0 for c in comps]  # +0.0 clears -0.0
-    for v, anchor in zip(comps, eq.case):
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 1e8:
-            return None
-        if not _component_is_case_monic(v, anchor):
-            return None
-    atol = opts.residual_tol * eq.scale
-    lhs, rhs = _sides(eq, comps)
-    lhs_norm, rhs_norm = float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs))
-    if lhs_norm <= atol and rhs_norm <= atol:
-        # Both sides vanish: any λ works.  Keep a requested λ, else report at 0.
-        lam_final = 0.0 if lam is None else float(lam)
-    elif rhs_norm <= atol:
-        return None  # lhs nonzero but rhs zero: no λ satisfies the equation
-    else:
-        lam_final = float((rhs @ lhs) / (rhs @ rhs)) if lam is None else float(lam)
-    residual = float(np.linalg.norm(lhs - lam_final * rhs))
-    if residual > atol:
-        return None
-    reported = tuple(comps) * eq.reported
-    decomp = MonicDecomposition(
-        e=index_join(eq.case * eq.reported, eq.n, len(reported)), c0=1.0, components=reported
-    )
-    return EigenWitness(
-        lam=lam_final,
-        xi=_power(comps, eq.xi),
-        decomposition=decomp,
-        diagonal=is_diagonal(decomp),
-        residual=residual,
-        case=eq.case,
-    )
+    """:func:`_verify_rows` for one candidate: its components and λ."""
+    return _verify_rows(eq, [np.asarray(c, dtype=float)[None] for c in comps], [lam], opts)[0]
+
+
+def _rank_one_pairs(kmat: np.ndarray, n: int) -> np.ndarray:
+    """Tactic 2's candidates: two-vector kernel combinations that pass a rank-1 screen.
+
+    The combinations ``cos θ·k_i + sin θ·k_j`` of every pair ``i < j`` of
+    kernel columns at ``_PAIR_ANGLES`` angles in ``[0, π)`` are stacked in
+    (pair, angle) order, and each is reshaped to an ``n``-row matrix ``M``.
+    A combination is kept when the second singular value of ``M`` is at most
+    1e-6 of the first, a necessary condition for splitting off an
+    ``n``-dimensional leading factor.  One stacked SVD decides, on the
+    combinations that a Gram-matrix bound does not already reject: the sum
+    ``e₂`` of the 2×2 principal minors of ``G = M·Mᵀ`` is at least
+    ``σ₁²σ₂²``, so ``e₂ > 1e-8·tr(G)²`` means ``σ₂ > 1e-4·σ₁`` up to rounding
+    far below that margin, and the SVD would reject the combination too.
+    Returns the kept rows in order.
+    """
+    thetas = np.linspace(0.0, np.pi, _PAIR_ANGLES, endpoint=False)
+    cos = np.array([math.cos(t) for t in thetas])[:, None]
+    sin = np.array([math.sin(t) for t in thetas])[:, None]
+    first, second = np.array(list(itertools.combinations(range(kmat.shape[1]), 2))).T
+    cols = kmat.T
+    combos = cos * cols[first][:, None] + sin * cols[second][:, None]
+    combos = combos.reshape(-1, kmat.shape[0])
+    mats = combos.reshape(len(combos), n, -1)
+    gram = np.einsum("bij,bkj->bik", mats, mats)
+    trace = np.trace(gram, axis1=1, axis2=2)
+    minors = (trace**2 - np.sum(gram**2, axis=(1, 2))) / 2.0
+    near = ~(minors > 1e-8 * trace**2)
+    combos, mats = combos[near], mats[near]
+    svals = np.linalg.svd(mats, compute_uv=False)
+    if svals.shape[1] < 2:
+        return combos
+    return combos[svals[:, 1] <= 1e-6 * np.maximum(svals[:, 0], np.finfo(float).tiny)]
 
 
 def _search_case(
     eq: _Equation, essential: Sequence[float], opts: SolveOptions
 ) -> list[EigenWitness]:
-    """All kernel-search tactics for one anchor case of one problem."""
+    """All kernel-search tactics for one anchor case of one problem.
+
+    The tactics evaluate their candidates in batches: tactic 2 one stacked
+    screen per kernel (:func:`_rank_one_pairs`), tactic 3 one Gauss–Newton
+    batch over the starts of every kernel, tactic 4 one over its own starts
+    (:func:`_gauss_newton`), and the Gauss–Newton end points are verified
+    as batches (:func:`_verify_rows`).  The random starts, every candidate
+    and the order of the witnesses are those of a candidate-at-a-time
+    search, bit for bit.
+    """
     n, case = eq.n, eq.case
     found: list[EigenWitness] = []
 
-    def add(comps: Sequence[np.ndarray], lam: float | None) -> None:
-        w = _verify_witness(eq, comps, lam, opts)
-        if w is not None:
-            found.append(w)
+    def add(verdicts: Sequence[EigenWitness | None]) -> None:
+        found.extend(w for w in verdicts if w is not None)
 
     free_sizes = [n - anchor for anchor in case]
     total_free = sum(free_sizes)
 
     def unpack(u: np.ndarray) -> list[np.ndarray]:
+        """Monic components, one stack per anchor, from rows of free entries."""
         comps, pos = [], 0
         for anchor, size in zip(case, free_sizes):
-            comps.append(_embed_component(u[pos : pos + size], n, anchor))
+            comp = np.zeros((len(u), n))
+            comp[:, anchor - 1] = 1.0
+            comp[:, anchor:] = u[:, pos : pos + size]
+            comps.append(comp)
             pos += size
         return comps
 
     rng = np.random.default_rng(opts.seed + 1009 * (index_join(case, n, len(case)) + 1))
-
+    kernels = []
     for lam in _lambda_candidates(essential, opts):
         basis = kernel_basis(eq.pencil, lam, opts.rank_tol)
-        if not basis:
-            continue
-        kmat = np.column_stack(basis)
+        if basis:
+            kernels.append((lam, basis, np.column_stack(basis)))
 
+    # Tactic 3: Gauss–Newton on the kernel-projection residual, from
+    # _PROJ_STARTS starts per kernel, every kernel's starts in one batch.
+    if total_free and kernels:
+        kernel_of = np.repeat(np.arange(len(kernels)), _PROJ_STARTS)
+
+        def proj_resid(u: np.ndarray, owners: np.ndarray) -> np.ndarray:
+            xi = _power(unpack(u), eq.xi)
+            out = np.empty_like(xi)
+            # The owners ascend, so the rows of each kernel form one slice.
+            bounds = np.searchsorted(kernel_of[owners], np.arange(len(kernels) + 1))
+            for (*_, kmat), lo, hi in zip(kernels, bounds[:-1], bounds[1:]):
+                if lo < hi:
+                    out[lo:hi] = xi[lo:hi] - _matvecs(kmat, _matvecs(kmat.T, xi[lo:hi]))
+            return out
+
+        starts = rng.standard_normal((len(kernel_of), total_free))
+        ends = unpack(_gauss_newton(proj_resid, starts, _NEWTON_MAX_ITER))
+        projected = _verify_rows(eq, ends, [kernels[k][0] for k in kernel_of], opts)
+
+    for k, (lam, basis, kmat) in enumerate(kernels):
         # Tactic 1: kernel basis vectors through the decomposition certificate.
-        for v in basis:
+        # Tactic 2: two-vector combinations that pass the rank-1 screen.
+        candidates = list(basis)
+        if 2 <= kmat.shape[1] <= _MAX_PAIR_KERNEL_DIM:
+            candidates.extend(_rank_one_pairs(kmat, n))
+        for v in candidates:
             comps = _components_of(eq, v, opts.recon_tol)
             if comps is not None:
-                add(comps, lam)
-
-        # Tactic 2: two-vector combinations, screened by a rank-1 reshape test.
-        if 2 <= kmat.shape[1] <= _MAX_PAIR_KERNEL_DIM:
-            for i, j in itertools.combinations(range(kmat.shape[1]), 2):
-                for theta in np.linspace(0.0, np.pi, _PAIR_ANGLES, endpoint=False):
-                    w = math.cos(theta) * kmat[:, i] + math.sin(theta) * kmat[:, j]
-                    if not _rank_one_factor(w, n):
-                        continue
-                    comps = _components_of(eq, w, opts.recon_tol)
-                    if comps is not None:
-                        add(comps, lam)
-
-        # Tactic 3: Gauss–Newton on the kernel-projection residual.
+                add([_verify_witness(eq, comps, lam, opts)])
         if total_free:
-            for _ in range(_PROJ_STARTS):
-                u0 = rng.standard_normal(total_free)
-
-                def proj_resid(u: np.ndarray) -> np.ndarray:
-                    xi = _power(unpack(u), eq.xi)
-                    return xi - kmat @ (kmat.T @ xi)
-
-                u, _ = _gauss_newton(proj_resid, u0, _NEWTON_MAX_ITER)
-                add(unpack(u), lam)
+            add(projected[k * _PROJ_STARTS : (k + 1) * _PROJ_STARTS])
 
     # Tactic 4: Gauss–Newton on the original equation with λ free.
-    for _ in range(_NEWTON_STARTS):
-        w0 = np.append(rng.standard_normal(total_free), rng.standard_normal())
+    def orig_resid(w: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        lhs, rhs = _sides(eq, unpack(w[:, :-1]))
+        return lhs - w[:, -1:] * rhs
 
-        def orig_resid(w: np.ndarray) -> np.ndarray:
-            lhs, rhs = _sides(eq, unpack(w[:-1]))
-            return lhs - w[-1] * rhs
-
-        w, _ = _gauss_newton(orig_resid, w0, _NEWTON_MAX_ITER)
-        add(unpack(w[:-1]), float(w[-1]))
-        # Re-fit λ by least squares in case the Newton λ drifted.
-        add(unpack(w[:-1]), None)
-
+    starts = rng.standard_normal((_NEWTON_STARTS, total_free + 1))
+    ends = np.repeat(_gauss_newton(orig_resid, starts, _NEWTON_MAX_ITER), 2, axis=0)
+    # Each end point at its Newton λ, then with λ re-fitted by least squares
+    # in case the Newton λ drifted.
+    lams = [float(w[-1]) if row % 2 == 0 else None for row, w in enumerate(ends)]
+    add(_verify_rows(eq, unpack(ends[:, :-1]), lams, opts))
     return found
 
 

@@ -721,3 +721,64 @@ def test_solve_rejects_a_bad_start_vector_before_solving(
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith(message)
+
+
+def _scaled_matrix_file(path, source, factor):
+    hmx = json.loads(source.read_text())
+    hmx["entries"] = [factor * value for value in hmx["entries"]]
+    return _write_json(path, hmx)
+
+
+@pytest.mark.parametrize("factor", [1e100, 1e-100], ids=["huge", "tiny"])
+def test_pencil_eigenvalues_do_not_depend_on_the_entry_scale(tmp_path, factor):
+    """The Gram-determinant scan rescales a pencil whose determinant over- or underflows."""
+    plain = _cli_process(["pencil", *_PENCIL_FILES])
+    scaled = _cli_process([
+        "pencil",
+        _scaled_matrix_file(tmp_path / "a.json", PROBLEMS / "ex_6_1_4_A.json", factor),
+        _scaled_matrix_file(tmp_path / "b.json", PROBLEMS / "ex_6_1_4_B.json", factor),
+    ])
+    assert scaled.returncode == 0
+    assert "Warning" not in scaled.stderr
+    assert "Traceback" not in scaled.stderr
+    line = "essential eigenvalues: 1.0000"
+    assert line in plain.stdout.splitlines()
+    assert line in scaled.stdout.splitlines()
+
+
+#: A wide D problem (p = 2, r = 3): its case pencils are 2 × 8.
+_WIDE_D = {
+    "hypermatrix": {
+        "order": 3, "dims": [2, 2, 2], "format": "dense",
+        "entries": [0.8838, 0.6798, -0.6402, -0.001, 0.4456, 0.4684, 0.8762, 0.2565],
+    },
+    "partition": {"rows": [1], "cols": [2, 3]},
+    "type": {
+        "explicit": [[[-1.6488, 0.2544, 1.2246, -0.2975, -0.8108, 0.7522, 0.2534, 0.8959],
+                      [-0.3452, -1.4818, -0.11, -0.4458, 0.7753, 0.1936, -1.6308, -1.1952]]],
+        "n": 2, "r": 3,
+    },
+    "mode": "D",
+}
+
+
+def test_solve_of_a_huge_wide_problem_matches_the_unscaled_one(tmp_path):
+    huge = json.loads(json.dumps(_WIDE_D))
+    huge["hypermatrix"]["entries"] = [1e100 * v for v in huge["hypermatrix"]["entries"]]
+    huge["type"]["explicit"] = [[[1e100 * v for v in row] for row in b]
+                                for b in huge["type"]["explicit"]]
+    reports = []
+    for name, problem in (("plain", _WIDE_D), ("huge", huge)):
+        proc = _cli_process(
+            ["solve", _write_json(tmp_path / f"{name}.json", problem), "--format", "structured"]
+        )
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        reports.append(json.loads(proc.stdout))
+    plain, scaled = (r["witnesses"] for r in reports)
+    assert len(plain) == len(scaled) >= 1
+    for want, got in zip(plain, scaled):
+        assert got["case"] == want["case"]
+        assert got["lambda"] == pytest.approx(want["lambda"], abs=1e-9)
+        assert np.allclose(got["components"], want["components"], rtol=0, atol=1e-9)
