@@ -12,18 +12,20 @@ by reconstruction; vectors failing the certificate are reported as not
 decomposable.  Ξ at anchor ``e`` for factor ``i`` reads the ``dims[i−1]``
 entries whose multi-index agrees with ``index_split(e, dims)`` in every slot
 but ``i``: a strided slice of the flat vector with stride
-``prod(dims[i:])``.
+``prod(dims[i:])``.  :func:`_decompose_rows` runs the algorithm on a stack
+of rows, each as alone; :func:`monic_decompose` is its one-row form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
 
-from .stp_core import _kron_vectors
+from .stp_core import _norms, _outer
 
 __all__ = [
     "MonicDecomposition",
@@ -60,22 +62,32 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def mu(x: np.ndarray | Sequence, zero_tol: float | None = None) -> int:
+def _vector_over(x: np.ndarray | Sequence, dims: Sequence[int]) -> tuple[np.ndarray, tuple]:
+    """``x`` as a vector over factor dimensions ``dims`` (their product is its length)."""
+    arr, dims = _as_vector(x), _check_dims(dims)
+    if arr.size != math.prod(dims):
+        raise ValueError(f"vector length {arr.size} does not match factor dims {list(dims)}")
+    return arr, dims
+
+
+def _leading(rows: np.ndarray) -> np.ndarray:
+    """:func:`mu` of each row; 0 for a row without a leading entry (zero or not finite)."""
+    mags = np.abs(rows)
+    above = mags > MU_RELATIVE_FLOOR * np.max(mags, axis=1, keepdims=True)
+    return np.where(above.any(axis=1), above.argmax(axis=1) + 1, 0)
+
+
+def mu(x: np.ndarray | Sequence) -> int:
     """Position (1-based) of the first non-negligible entry of ``x``.
 
-    Entries with magnitude at most ``zero_tol`` are treated as zero; the
-    default tolerance is ``1e-10`` times the largest magnitude.  A zero
-    vector has no leading index and raises ``ValueError``.
+    Entries with magnitude at most ``1e-10`` times the largest are treated
+    as zero.  A vector without a leading index (zero, or not finite) raises
+    ``ValueError``.
     """
-    arr = _as_vector(x)
-    peak = float(np.max(np.abs(arr)))
-    if peak == 0.0:
-        raise ValueError("zero vector has no leading index")
-    floor = MU_RELATIVE_FLOOR * peak if zero_tol is None else float(zero_tol)
-    idx = np.flatnonzero(np.abs(arr) > floor)
-    if idx.size == 0:
-        raise ValueError("vector is zero to within the given tolerance")
-    return int(idx[0]) + 1
+    lead = int(_leading(_as_vector(x)[None])[0])
+    if not lead:
+        raise ValueError("vector has no leading index (it is zero or not finite)")
+    return lead
 
 
 def monicize(x: np.ndarray | Sequence) -> tuple[float, np.ndarray]:
@@ -181,12 +193,7 @@ def extract_component(
     x: np.ndarray | Sequence, e: int, i: int, dims: Sequence[int]
 ) -> np.ndarray:
     """Apply the Ξ selector: candidate ``i``-th component of ``x`` at anchor ``e`` (scaled by ``c0``)."""
-    arr = _as_vector(x)
-    dims = _check_dims(dims)
-    if arr.size != math.prod(dims):
-        raise ValueError(
-            f"vector length {arr.size} does not match factor dims {list(dims)}"
-        )
+    arr, dims = _vector_over(x, dims)
     return arr[_xi_slice(e, i, dims)].copy()
 
 
@@ -194,7 +201,7 @@ def compose(components: Sequence[np.ndarray | Sequence]) -> np.ndarray:
     """Kronecker (STP) product of component vectors, first factor slowest."""
     if not components:
         raise ValueError("need at least one component")
-    return _kron_vectors([_as_vector(c) for c in components])
+    return functools.reduce(_outer, [_as_vector(c) for c in components])
 
 
 @dataclass(frozen=True)
@@ -216,6 +223,34 @@ class MonicDecomposition:
         return self.c0 * compose(self.components)
 
 
+def _decompose_rows(
+    rows: np.ndarray, dims: tuple[int, ...], recon_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The monic decomposition algorithm on every row of ``rows`` at once.
+
+    Returns the indices of the rows that decompose over ``dims``, in order,
+    with their anchors ``e``, leading coefficients ``c0`` and one
+    ``(rows × dims[i−1])`` stack per component, each as the row alone gives
+    it, bit for bit (elementwise products, ``np.linalg.norm``'s norms).  A
+    row without a leading entry is rejected.
+    """
+    x = np.asarray(rows, dtype=float)
+    e = _leading(x)
+    kept = np.flatnonzero(e)
+    x, flat = x[kept], e[kept] - 1  # indexing copies: each row is contiguous, as alone
+    c0 = x[np.arange(len(x)), flat]
+    comps = []
+    for i, n_i in enumerate(dims):
+        # Ξ(e, i + 1): slot i + 1 runs, every other slot keeps its entry of e.
+        stride = math.prod(dims[i + 1 :])
+        start = flat - flat // stride % n_i * stride
+        read = np.take_along_axis(x, start[:, None] + stride * np.arange(n_i), axis=1)
+        comps.append(read / c0[:, None])
+    err = _norms(c0[:, None] * functools.reduce(_outer, comps) - x)
+    ok = ~(err > recon_tol * _norms(x))
+    return kept[ok], flat[ok] + 1, c0[ok], [c[ok] for c in comps]
+
+
 def monic_decompose(
     x: np.ndarray | Sequence,
     dims: Sequence[int],
@@ -225,29 +260,17 @@ def monic_decompose(
 
     Component ``i`` is read with the Ξ selector anchored at ``e = mu(x)``:
     the ``dims[i−1]`` entries of ``x`` whose multi-index matches
-    ``index_split(e, dims)`` outside slot ``i``.  Each is monic-normalized by
-    ``c0 = x[e]``, and the result is certified by reconstruction: it is
-    accepted only when ``‖c0·(x_1 ⊗ … ⊗ x_r) − x‖ ≤ recon_tol · ‖x‖``.
+    ``index_split(e, dims)`` outside slot ``i``, among them ``x[e]`` itself.
+    Each is monic-normalized by ``c0 = x[e]``, and the result is certified
+    by reconstruction: it is accepted only when
+    ``‖c0·(x_1 ⊗ … ⊗ x_r) − x‖ ≤ recon_tol · ‖x‖``.
     """
-    arr = _as_vector(x)
-    dims = _check_dims(dims)
-    if arr.size != math.prod(dims):
-        raise ValueError(
-            f"vector length {arr.size} does not match factor dims {list(dims)}"
-        )
-    e = mu(arr)
-    c0 = float(arr[e - 1])
-    comps = []
-    for i in range(1, len(dims) + 1):
-        extracted = extract_component(arr, e, i, dims)
-        if not np.any(extracted):
-            return None
-        comps.append(extracted / c0)
-    candidate = MonicDecomposition(e=e, c0=c0, components=tuple(comps))
-    err = float(np.linalg.norm(candidate.reconstruct() - arr))
-    if err > recon_tol * float(np.linalg.norm(arr)):
+    arr, dims = _vector_over(x, dims)
+    mu(arr)  # raises for a vector without a leading entry
+    kept, e, c0, comps = _decompose_rows(arr[None], dims, recon_tol)
+    if not kept.size:
         return None
-    return candidate
+    return MonicDecomposition(e=int(e[0]), c0=float(c0[0]), components=tuple(c[0] for c in comps))
 
 
 def is_diagonal(d: MonicDecomposition, tol: float = 1e-9) -> bool:

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 
@@ -71,12 +72,24 @@ def _check_size(rows: int, cols: int) -> None:
         )
 
 
-def _kron_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of non-empty 1-D arrays, first factor slowest."""
-    out = vectors[0]
-    for v in vectors[1:]:
-        out = np.multiply.outer(out, v).ravel()
-    return out
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Kronecker product of two vectors, row by row over any leading batch axes."""
+    return (u[..., :, None] * v[..., None, :]).reshape(*u.shape[:-1], u.shape[-1] * v.shape[-1])
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``, bit for bit ``a_i @ b_i``.
+
+    A stacked row-times-column product runs the dot kernel of each row
+    alone; a sum of products would add in another order.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm`` of that row alone."""
+    with np.errstate(over="ignore"):  # as in norm, a huge row's norm is inf, silently
+        return np.sqrt(_dots(rows, rows))
 
 
 def kron(a: np.ndarray | Sequence, b: np.ndarray | Sequence) -> np.ndarray:
@@ -134,7 +147,7 @@ def stp_power(x: np.ndarray | Sequence, r: int) -> np.ndarray:
         raise ValueError(f"power must be a positive integer, got {r!r}")
     v = _as_vector(x, "x")
     _check_size(v.size**r, 1)
-    return _kron_vectors([v] * r)
+    return functools.reduce(_outer, [v] * r)
 
 
 def pushdown(x: np.ndarray | Sequence, a: np.ndarray | Sequence) -> np.ndarray:

@@ -26,16 +26,16 @@ It returns the per-case pencil facts and the witnesses.  :func:`d_solve`,
 (one case's pencil) are thin entry points into the same code.
 
 The kernel search is deliberately not exhaustive (decomposable points of a
-subspace form a polynomial variety): it tests kernel basis vectors, scans
-two-vector combinations with a rank-1 reshape criterion, refines with damped
-Gauss–Newton projection, and additionally runs multi-start Gauss–Newton on
-the original equation with λ free.  Every candidate is verified against the
-*original* equation before being reported, and witnesses are returned monic.
-Each tactic works on a batch: a stack of combinations or of Gauss–Newton
-points, one per row.  Every row is computed with the same floating-point
-operations as the row alone (elementwise products, one matrix-vector or dot
-kernel per row, one least-squares solve per row), so the witnesses do not
-depend on the batching, bit for bit.
+subspace form a polynomial variety): it decomposes kernel basis vectors and
+two-vector combinations, refines with damped Gauss–Newton projection, and
+additionally runs multi-start Gauss–Newton on the original equation with λ
+free.  Every candidate is verified against the *original* equation before
+being reported, and witnesses are returned monic.  Each tactic works on a
+batch: a stack of kernel vectors or of Gauss–Newton points, one per row.
+Every row is computed with the same floating-point operations as the row
+alone (elementwise products, one matrix-vector or dot kernel per row, one
+least-squares solve per row), so the witnesses do not depend on the
+batching, bit for bit.
 
 A witness that annihilates both sides satisfies the equation for every λ and
 is reported once, with λ canonicalized to 0.
@@ -60,15 +60,15 @@ from .hypermatrix import Hypermatrix, IndexPartition, _reals, _whole
 from .hypervector import (
     DEFAULT_RECON_TOL,
     MonicDecomposition,
+    _decompose_rows,
+    _leading,
     _xi_slice,
     diagonal_index,
     extract_component,
     index_join,
     index_split,
     is_diagonal,
-    monic_decompose,
     mu,
-    xi_matrix,
 )
 from .pencil_eigen import (
     Pencil,
@@ -81,6 +81,9 @@ from .stp_core import (
     MAX_RESULT_ENTRIES,
     SizeLimitError,
     _check_size,
+    _dots,
+    _norms,
+    _outer,
     kron,
     stp_power,
 )
@@ -547,21 +550,6 @@ def _lambda_candidates(essential: Sequence[float], opts: SolveOptions) -> list[f
     return out
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``a`` with the same row of ``b``, bit for bit ``a_i @ b_i``.
-
-    A stacked row-times-column product runs the dot kernel of each row
-    alone; a sum of products would add in another order.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm`` of that row alone."""
-    with np.errstate(over="ignore"):  # as in norm, a huge row's norm is inf, silently
-        return np.sqrt(_dots(rows, rows))
-
-
 def _gauss_newton(
     fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
     starts: np.ndarray,
@@ -651,11 +639,6 @@ class _Equation:
     scale: float
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors, row by row over any leading batch axes."""
-    return (u[..., :, None] * v[..., None, :]).reshape(*u.shape[:-1], -1)
-
-
 def _power(comps: Sequence[np.ndarray], k: int) -> np.ndarray:
     """``x^k``: the Kronecker product of the component tuple repeated ``k`` times.
 
@@ -682,25 +665,21 @@ def _sides(eq: _Equation, comps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.n
     return _matvecs(eq.a, _power(comps, eq.lhs)), _matvecs(eq.bt, _power(comps, eq.rhs))
 
 
-def _components_of(eq: _Equation, v: np.ndarray, recon_tol: float) -> list[np.ndarray] | None:
-    """Split a pencil vector ``ξ = x^xi`` into the case's components, or None.
+def _components_of(eq: _Equation, rows: np.ndarray, recon_tol: float) -> tuple[np.ndarray, list]:
+    """Split pencil vectors ``ξ = x^xi``, one per row, into the case's components.
 
-    ``ξ`` must decompose over ``xi`` repeats of ``|case|`` factors of dimension
-    ``n``, the repeats must agree to ``_TIE_TOL``, and the components' leading
-    indices must be the case.
+    A row splits when it decomposes over ``xi`` repeats of ``|case|`` factors
+    of dimension ``n``, the repeats agree to ``_TIE_TOL`` and the leading
+    indices are the case.  Returns those rows' indices and components.
     """
     width = len(eq.case)
-    d = monic_decompose(v, (eq.n,) * (width * eq.xi), recon_tol)
-    if d is None:
-        return None
-    comps = d.components
-    if any(np.max(np.abs(c - comps[j % width])) > _TIE_TOL for j, c in enumerate(comps)):
-        return None
-    try:
-        on_case = tuple(mu(c) for c in comps[:width]) == eq.case
-    except ValueError:
-        return None
-    return list(comps[:width]) if on_case else None
+    kept, _, _, comps = _decompose_rows(rows, (eq.n,) * (width * eq.xi), recon_tol)
+    ok = np.ones(len(kept), dtype=bool)
+    for j, c in enumerate(comps):
+        ok &= ~(np.max(np.abs(c - comps[j % width]), axis=1) > _TIE_TOL)
+    for c, anchor in zip(comps, eq.case):
+        ok &= _leading(c) == anchor
+    return kept[ok], [c[ok] for c in comps[:width]]
 
 
 def _case_equation(prob: UEigenProblem, case: tuple[int, ...]) -> _Equation:
@@ -783,30 +762,11 @@ def _verify_rows(
     return out
 
 
-def _verify_witness(
-    eq: _Equation,
-    comps: Sequence[np.ndarray],
-    lam: float | None,
-    opts: SolveOptions,
-) -> EigenWitness | None:
-    """:func:`_verify_rows` for one candidate: its components and λ."""
-    return _verify_rows(eq, [np.asarray(c, dtype=float)[None] for c in comps], [lam], opts)[0]
+def _pair_combinations(kmat: np.ndarray) -> np.ndarray:
+    """Tactic 2's candidates: kernel column pairs ``i < j`` mixed as ``cos θ·k_i + sin θ·k_j``.
 
-
-def _rank_one_pairs(kmat: np.ndarray, n: int) -> np.ndarray:
-    """Tactic 2's candidates: two-vector kernel combinations that pass a rank-1 screen.
-
-    The combinations ``cos θ·k_i + sin θ·k_j`` of every pair ``i < j`` of
-    kernel columns at ``_PAIR_ANGLES`` angles in ``[0, π)`` are stacked in
-    (pair, angle) order, and each is reshaped to an ``n``-row matrix ``M``.
-    A combination is kept when the second singular value of ``M`` is at most
-    1e-6 of the first, a necessary condition for splitting off an
-    ``n``-dimensional leading factor.  One stacked SVD decides, on the
-    combinations that a Gram-matrix bound does not already reject: the sum
-    ``e₂`` of the 2×2 principal minors of ``G = M·Mᵀ`` is at least
-    ``σ₁²σ₂²``, so ``e₂ > 1e-8·tr(G)²`` means ``σ₂ > 1e-4·σ₁`` up to rounding
-    far below that margin, and the SVD would reject the combination too.
-    Returns the kept rows in order.
+    ``θ`` runs over ``_PAIR_ANGLES`` angles in ``[0, π)``; the rows are in
+    (pair, angle) order.
     """
     thetas = np.linspace(0.0, np.pi, _PAIR_ANGLES, endpoint=False)
     cos = np.array([math.cos(t) for t in thetas])[:, None]
@@ -814,17 +774,7 @@ def _rank_one_pairs(kmat: np.ndarray, n: int) -> np.ndarray:
     first, second = np.array(list(itertools.combinations(range(kmat.shape[1]), 2))).T
     cols = kmat.T
     combos = cos * cols[first][:, None] + sin * cols[second][:, None]
-    combos = combos.reshape(-1, kmat.shape[0])
-    mats = combos.reshape(len(combos), n, -1)
-    gram = np.einsum("bij,bkj->bik", mats, mats)
-    trace = np.trace(gram, axis1=1, axis2=2)
-    minors = (trace**2 - np.sum(gram**2, axis=(1, 2))) / 2.0
-    near = ~(minors > 1e-8 * trace**2)
-    combos, mats = combos[near], mats[near]
-    svals = np.linalg.svd(mats, compute_uv=False)
-    if svals.shape[1] < 2:
-        return combos
-    return combos[svals[:, 1] <= 1e-6 * np.maximum(svals[:, 0], np.finfo(float).tiny)]
+    return combos.reshape(-1, kmat.shape[0])
 
 
 def _search_case(
@@ -832,13 +782,13 @@ def _search_case(
 ) -> list[EigenWitness]:
     """All kernel-search tactics for one anchor case of one problem.
 
-    The tactics evaluate their candidates in batches: tactic 2 one stacked
-    screen per kernel (:func:`_rank_one_pairs`), tactic 3 one Gauss–Newton
-    batch over the starts of every kernel, tactic 4 one over its own starts
-    (:func:`_gauss_newton`), and the Gauss–Newton end points are verified
-    as batches (:func:`_verify_rows`).  The random starts, every candidate
-    and the order of the witnesses are those of a candidate-at-a-time
-    search, bit for bit.
+    The tactics evaluate their candidates in batches: tactics 1 and 2 one
+    split (:func:`_components_of`) per kernel, of its basis vectors and their
+    combinations, tactic 3 one Gauss–Newton batch over the starts of every
+    kernel, tactic 4 one over its own starts (:func:`_gauss_newton`), and
+    the survivors are verified as batches (:func:`_verify_rows`).  The random
+    starts, every candidate and the order of the witnesses are those of a
+    candidate-at-a-time search, bit for bit.
     """
     n, case = eq.n, eq.case
     found: list[EigenWitness] = []
@@ -865,7 +815,7 @@ def _search_case(
     for lam in _lambda_candidates(essential, opts):
         basis = kernel_basis(eq.pencil, lam, opts.rank_tol)
         if basis:
-            kernels.append((lam, basis, np.column_stack(basis)))
+            kernels.append((lam, np.column_stack(basis)))
 
     # Tactic 3: Gauss–Newton on the kernel-projection residual, from
     # _PROJ_STARTS starts per kernel, every kernel's starts in one batch.
@@ -877,7 +827,7 @@ def _search_case(
             out = np.empty_like(xi)
             # The owners ascend, so the rows of each kernel form one slice.
             bounds = np.searchsorted(kernel_of[owners], np.arange(len(kernels) + 1))
-            for (*_, kmat), lo, hi in zip(kernels, bounds[:-1], bounds[1:]):
+            for (_, kmat), lo, hi in zip(kernels, bounds[:-1], bounds[1:]):
                 if lo < hi:
                     out[lo:hi] = xi[lo:hi] - _matvecs(kmat, _matvecs(kmat.T, xi[lo:hi]))
             return out
@@ -886,16 +836,14 @@ def _search_case(
         ends = unpack(_gauss_newton(proj_resid, starts, _NEWTON_MAX_ITER))
         projected = _verify_rows(eq, ends, [kernels[k][0] for k in kernel_of], opts)
 
-    for k, (lam, basis, kmat) in enumerate(kernels):
-        # Tactic 1: kernel basis vectors through the decomposition certificate.
-        # Tactic 2: two-vector combinations that pass the rank-1 screen.
-        candidates = list(basis)
+    for k, (lam, kmat) in enumerate(kernels):
+        # Tactic 1: kernel basis vectors; tactic 2: their two-vector
+        # combinations.  Both through the decomposition certificate.
+        candidates = [kmat.T]
         if 2 <= kmat.shape[1] <= _MAX_PAIR_KERNEL_DIM:
-            candidates.extend(_rank_one_pairs(kmat, n))
-        for v in candidates:
-            comps = _components_of(eq, v, opts.recon_tol)
-            if comps is not None:
-                add([_verify_witness(eq, comps, lam, opts)])
+            candidates.append(_pair_combinations(kmat))
+        rows, comps = _components_of(eq, np.vstack(candidates), opts.recon_tol)
+        add(_verify_rows(eq, comps, [lam] * rows.size, opts))
         if total_free:
             add(projected[k * _PROJ_STARTS : (k + 1) * _PROJ_STARTS])
 
@@ -1099,7 +1047,8 @@ def solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> SolveResult:
         witnesses.extend(_search_case(eq, essential, opts))
 
     def reverify(case, comps, lam):
-        return _verify_witness(equations[case], comps[: len(case)], lam, opts)
+        rows = [np.asarray(c, dtype=float)[None] for c in comps[: len(case)]]
+        return _verify_rows(equations[case], rows, [lam], opts)[0]
 
     witnesses = _dedup(witnesses)
     witnesses = _merge_lambda_lines(witnesses, reverify)
@@ -1136,6 +1085,19 @@ def case_pencil(prob: UEigenProblem, case: Sequence[int]) -> Pencil:
 # ---------------------------------------------------------------------------
 
 
+def _consistency_rows(anchor: int, n: int, t: int) -> np.ndarray:
+    """Diagonal-consistency rows ``Ξ_1 − Ξ_i``, ``i = 2…t``, written into their Ξ slices.
+
+    ``Ξ_i = xi_matrix(anchor, i, (n,)*t)``; the anchor column is in every slice and gets 0.
+    """
+    dims = (n,) * t
+    rows = np.zeros((t - 1, n, n**t))
+    for i, block in enumerate(rows, start=2):
+        block[:, _xi_slice(anchor, 1, dims)] = np.eye(n)
+        block[:, _xi_slice(anchor, i, dims)] -= np.eye(n)
+    return rows.reshape(-1, n**t)
+
+
 def iterate_least_squares(
     prob: UEigenProblem,
     x0: np.ndarray | Sequence,
@@ -1156,7 +1118,8 @@ def iterate_least_squares(
     Each step's state (step index, current ``z``, λ, original-equation
     residual) is appended to ``history`` when a list is supplied; the final
     state is returned with ``converged`` set accordingly.  A vanishing
-    ``B̃ξ_q`` (λ undefined) or a collapsing diagonal-consistent kernel raises
+    ``B̃ξ_q`` (λ undefined) or a collapsing diagonal-consistent kernel (at
+    once, at a generic λ, on a pencil that is not wide) raises
     :class:`IterationBreakdown`.
     """
     if max_iter < 0:
@@ -1197,13 +1160,12 @@ def iterate_least_squares(
             return state
 
         anchor = diagonal_index(e0, n, t)
-        selectors = [xi_matrix(anchor, i, (n,) * t) for i in range(1, t + 1)]
-        blocks = [pencil.at(lam)]
-        blocks.extend(selectors[0] - sel for sel in selectors[1:])
-        kmat = _kernel_rows(np.vstack(blocks)).T
+        kmat = _kernel_rows(np.vstack([pencil.at(lam), _consistency_rows(anchor, n, t)])).T
         if kmat.shape[1] == 0:
+            m, cols = pencil.a.shape
+            why = f"the iteration needs a wide pencil, not a {m}x{cols} one: " if m >= cols else ""
             raise IterationBreakdown(
-                f"diagonal-consistent kernel is trivial at step {k} (lambda={lam:.6g})"
+                f"{why}diagonal-consistent kernel is trivial at step {k} (lambda={lam:.6g})"
             )
         # The consistency rows make every extracted part equal: read slot 1.
         v = extract_component(kmat @ (kmat.T @ xi), anchor, 1, (n,) * t)

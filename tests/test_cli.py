@@ -362,6 +362,13 @@ def test_numerical_breakdown_exit_code(tmp_path):
     assert code == 3
 
 
+def test_iterate_on_a_square_pencil_is_a_breakdown_naming_its_shape(tmp_path, capsys):
+    code, _ = _run(["iterate", str(PROBLEMS / "ex_7_1i.json"), "--x0", "0.6,0.8"], tmp_path)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: the iteration needs a wide pencil, not a 2x2 one")
+
+
 @pytest.mark.parametrize(
     "name, mode, ranks, essential",
     [

@@ -38,8 +38,9 @@ def test_mu_and_monicize():
     c0, x0 = he.monicize([0.0, -2.0, 4.0])
     assert c0 == -2.0
     assert np.allclose(x0, [0.0, 1.0, -2.0])
-    with pytest.raises(ValueError):
-        he.mu([0.0, 0.0])
+    for x in ([0.0, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="no leading index"):
+            he.mu(x)
 
 
 def test_xi_matrix_extracts_scaled_components():

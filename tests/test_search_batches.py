@@ -1,9 +1,10 @@
 """The batched kernel search equals a candidate-at-a-time search, bit for bit.
 
 The references below evaluate one candidate at a time: a Gauss–Newton run
-per start (its Jacobian column by column) and a rank-1 screen per
-two-vector combination.  The batched code must give the same floats, not
-merely close ones, so that ``solve`` output stays byte-identical.
+per start (its Jacobian column by column), a monic decomposition per vector,
+and, for tactic 2, a rank-1 screen per two-vector combination before it is
+split.  The batched code must give the same floats, not merely close ones,
+so that ``solve`` output stays byte-identical.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 
 import hypereig as he
 from hypereig import u_eigen as ue
-from hypereig.hypervector import index_join
+from hypereig.hypervector import _decompose_rows, index_join
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,40 @@ def _screen_one_at_a_time(kmat, n, angles):
     return kept
 
 
+def _mu_one(x):
+    """Position (1-based) of the first entry above 1e-10 of the largest magnitude."""
+    mags = np.abs(x)
+    return int(np.flatnonzero(mags > 1e-10 * float(np.max(mags)))[0]) + 1
+
+
+def _monic_decompose_one(x, dims, recon_tol):
+    """The monic decomposition algorithm on one vector: ``(e, c0, components)`` or None."""
+    x = np.asarray(x, dtype=float)
+    e = _mu_one(x)
+    c0 = float(x[e - 1])
+    comps = [he.extract_component(x, e, i, dims) / c0 for i in range(1, len(dims) + 1)]
+    err = float(np.linalg.norm(c0 * _power_one(comps, 1) - x))
+    if err > recon_tol * float(np.linalg.norm(x)):
+        return None
+    return e, c0, comps
+
+
+def _split_one(eq, v, recon_tol):
+    """One pencil vector split into the case's components, or None."""
+    width = len(eq.case)
+    d = _monic_decompose_one(v, (eq.n,) * (width * eq.xi), recon_tol)
+    if d is None:
+        return None
+    comps = d[2]
+    if any(np.max(np.abs(c - comps[j % width])) > ue._TIE_TOL for j, c in enumerate(comps)):
+        return None
+    try:
+        on_case = tuple(_mu_one(c) for c in comps[:width]) == eq.case
+    except IndexError:  # a component without a leading entry
+        return None
+    return comps[:width] if on_case else None
+
+
 def _power_one(comps, k):
     x = comps[0]
     for c in comps[1:]:
@@ -100,7 +135,7 @@ def _search_case_one_at_a_time(eq, essential, opts):
     found = []
 
     def add(comps, lam):
-        w = ue._verify_witness(eq, comps, lam, opts)
+        w = ue._verify_rows(eq, [np.asarray(c, dtype=float)[None] for c in comps], [lam], opts)[0]
         if w is not None:
             found.append(w)
 
@@ -114,12 +149,12 @@ def _search_case_one_at_a_time(eq, essential, opts):
             continue
         kmat = np.column_stack(basis)
         for v in basis:
-            comps = ue._components_of(eq, v, opts.recon_tol)
+            comps = _split_one(eq, v, opts.recon_tol)
             if comps is not None:
                 add(comps, lam)
         if 2 <= kmat.shape[1] <= ue._MAX_PAIR_KERNEL_DIM:
             for w in _screen_one_at_a_time(kmat, eq.n, ue._PAIR_ANGLES):
-                comps = ue._components_of(eq, w, opts.recon_tol)
+                comps = _split_one(eq, w, opts.recon_tol)
                 if comps is not None:
                     add(comps, lam)
         if total_free:
@@ -270,47 +305,123 @@ def test_batched_powers_and_sides_equal_one_point_at_a_time(name):
         assert np.array_equal(rhs[row], eq.bt @ _power_one(comps, eq.rhs))
 
 
-def _rank_one_kernel(rng, n, width, dim, offset=0.0):
-    """Kernel columns: two rank-1 reshapes, ``offset`` times a second rank-1 term
-    away from it (survivors of the pair screen when small), and random ones."""
-    cols = [
-        np.kron(rng.standard_normal(n), rng.standard_normal(width))
-        + offset * np.kron(rng.standard_normal(n), rng.standard_normal(width))
-        for _ in range(2)
+def _product_rows(rng, dims, count):
+    """Products ``c0·x_1 ⊗ … ⊗ x_r`` whose components start with zeros at random."""
+    rows = []
+    for _ in range(count):
+        comps = []
+        for n in dims:
+            c = rng.standard_normal(n)
+            c[: rng.integers(n)] = 0.0
+            comps.append(c)
+        rows.append(rng.uniform(0.5, 2.0) * he.compose(comps))
+    return rows
+
+
+def _decomposition_rows(rng, dims):
+    """Rows that exercise each step of the algorithm, with their labels."""
+    size = math.prod(dims)
+    rows = {"product": _product_rows(rng, dims, 8)}
+    # Perturbations on a product's support around recon_tol = 1e-8: some
+    # pass, some do not.
+    near = []
+    for offset in (1e-10, 1e-9, 3e-9, 1e-8, 3e-8):
+        for x in _product_rows(rng, dims, 3):
+            d = rng.standard_normal(size) * (x != 0)
+            near.append(x + offset * float(np.linalg.norm(x)) * d / float(np.linalg.norm(d)))
+    rows["near recon_tol"] = near
+    # Entries at, just under and just over the μ floor (1e-10 of the peak)
+    # before a product: an entry above the floor becomes the anchor.
+    floor = []
+    for x in _product_rows(rng, dims, 4):
+        lead = int(np.flatnonzero(x)[0])
+        peak = float(np.max(np.abs(x)))
+        for scale in (0.5e-10, 1e-10, 2e-10, 1e-6):
+            if lead:
+                y = x.copy()
+                y[lead - 1] = scale * peak
+                floor.append(y)
+    rows["mu floor"] = floor
+    rows["entangled"] = [rng.standard_normal(size) for _ in range(4)] + [
+        he.compose([np.eye(n)[0] for n in dims]) + he.compose([np.eye(n)[-1] for n in dims])
     ]
-    cols += [rng.standard_normal(n * width) for _ in range(dim - 2)]
+    # Ξ readings that are zero but for the anchor entry, which every reading
+    # holds (so none is all zero): unit components.
+    rows["unit readings"] = [
+        he.compose([np.eye(n)[rng.integers(n)] for n in dims]) for _ in range(4)
+    ]
+    return rows
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2), (2, 3, 2), (4,), (2, 2, 2, 2, 2, 2)])
+def test_batched_decomposition_equals_monic_decompose_row_by_row(dims):
+    rng = np.random.default_rng(21)
+    groups = _decomposition_rows(rng, dims)
+    for recon_tol in (1e-8, 1e-4):
+        verdicts = {}
+        for label, rows in groups.items():
+            kept, e, c0, comps = _decompose_rows(np.array(rows), dims, recon_tol)
+            verdicts[label] = kept.size
+            accepted = dict(zip(kept.tolist(), range(kept.size)))
+            for i, x in enumerate(rows):
+                want = _monic_decompose_one(x, dims, recon_tol)
+                one = he.monic_decompose(x, dims, recon_tol)
+                assert (want is None) == (one is None) == (i not in accepted)
+                if want is None:
+                    continue
+                k = accepted[i]
+                assert e[k] == one.e == want[0]
+                assert c0[k] == one.c0 == want[1]
+                for got, single, ref in zip(comps, one.components, want[2]):
+                    assert np.array_equal(got[k], ref) and np.array_equal(single, ref)
+        assert verdicts["product"] == 8 and verdicts["unit readings"] == 4
+        if len(dims) > 1:  # one factor: every vector decomposes
+            assert verdicts["entangled"] == 0 and verdicts["mu floor"] > 0
+            if recon_tol == 1e-8:
+                assert 0 < verdicts["near recon_tol"] < 15
+
+
+def _rank_one_kernel(rng, eq, dim, offset=0.0):
+    """Kernel columns: two case products ``ξ = x^xi``, each ``offset`` times a
+    second product away from it, and random ones."""
+    free = sum(eq.n - anchor for anchor in eq.case)
+
+    def product():
+        return _power_one(_unpack_one(eq, rng.standard_normal(free)), eq.xi)
+
+    cols = [rng.uniform(0.5, 2.0) * product() + offset * product() for _ in range(2)]
+    cols += [rng.standard_normal(eq.n ** (len(eq.case) * eq.xi)) for _ in range(dim - 2)]
     return np.column_stack(cols)
 
 
 @pytest.mark.parametrize("angles", [24, 6, 5])
-def test_stacked_pair_screen_equals_one_combination_at_a_time(monkeypatch, angles):
+def test_batched_split_accepts_what_the_screen_and_split_accept(monkeypatch, angles):
+    """Tactic 2 without its rank-1 screen accepts the same combinations."""
     monkeypatch.setattr(ue, "_PAIR_ANGLES", angles)
     rng = np.random.default_rng(13)
+    accepted = []
     for name in sorted(CASES):
         eq, _ = _case(name)
         kernels = [_kernel(eq), _kernel(eq, 1.0)]
-        kernels += [_rank_one_kernel(rng, 2, 4, dim) for dim in (2, 3, 8)]
+        kernels += [_rank_one_kernel(rng, eq, dim) for dim in (2, 3, 8)]
+        for offset in (1e-7, 3e-7, 6e-7, 1e-6, 2e-6, 5e-6, 1e-4, 1e-2):
+            kernels.append(_rank_one_kernel(rng, eq, 3, offset))
         for kmat in kernels:
-            want = _screen_one_at_a_time(kmat, eq.n, angles)
-            got = ue._rank_one_pairs(kmat, eq.n)
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # Second singular values around the screen's 1e-6 threshold: the stacked
-    # screen keeps exactly the combinations the per-combination SVD keeps.
-    kept = []
-    for offset in (1e-7, 3e-7, 6e-7, 1e-6, 2e-6, 5e-6, 1e-4, 1e-2):
-        for n, width in ((2, 4), (3, 3)):
-            kmat = _rank_one_kernel(rng, n, width, 3, offset)
-            want = _screen_one_at_a_time(kmat, n, angles)
-            got = ue._rank_one_pairs(kmat, n)
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            kept.append(len(want) > 0)
-    assert any(kept) and not all(kept)
-    # θ = 0 keeps each rank-1 column; θ = π/2 is on the grid only for an even count.
-    assert len(ue._rank_one_pairs(_rank_one_kernel(rng, 2, 4, 2), 2)) == (
-        2 if angles % 2 == 0 else 1
-    )
+            want = [
+                (w, comps)
+                for w in _screen_one_at_a_time(kmat, eq.n, angles)
+                if (comps := _split_one(eq, w, 1e-8)) is not None
+            ]
+            combos = ue._pair_combinations(kmat)
+            rows, comps = ue._components_of(eq, combos, 1e-8)
+            assert len(rows) == len(want)
+            for i, (k, (w, ref)) in enumerate(zip(rows, want)):
+                assert np.array_equal(combos[k], w)
+                assert all(np.array_equal(c[i], r) for c, r in zip(comps, ref))
+            accepted.append(len(want))
+    # θ = 0 keeps each product column; θ = π/2 is on the grid only for an even count.
+    assert any(accepted) and not all(accepted)
+    assert accepted[2] == (2 if angles % 2 == 0 else 1)
 
 
 def _same_witnesses(got, want):

@@ -164,6 +164,21 @@ def test_power_conversions_equal_their_selector_products():
             )
 
 
+def test_consistency_rows_equal_their_selector_differences():
+    for n, t in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        dims = (n,) * t
+        for e0 in range(1, n + 1):
+            anchor = he.diagonal_index(e0, n, t)
+            first = he.xi_matrix(anchor, 1, dims)
+            want = np.vstack(
+                [np.zeros((0, n**t))]
+                + [first - he.xi_matrix(anchor, i, dims) for i in range(2, t + 1)]
+            )
+            got = he.u_eigen._consistency_rows(anchor, n, t)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # same bits, signed zeros too
+
+
 def test_build_d_pencil_shapes():
     n = 2
     a_eq = np.ones((2, 8))
@@ -271,10 +286,11 @@ def test_component_split_requires_tied_groups():
     prob_d["mode"] = "U"
     eq = he.u_eigen._case_equation(he.problem_from_dict(prob_d), (2,))
     x, y = np.array([0.0, 1.0, 0.5]), np.array([0.0, 1.0, -0.5])
-    (split,) = he.u_eigen._components_of(eq, np.kron(x, x), 1e-8)
-    assert np.array_equal(split, x)
-    assert he.u_eigen._components_of(eq, np.kron(x, y), 1e-8) is None
-    assert he.u_eigen._components_of(eq, np.kron(x[::-1], x[::-1]), 1e-8) is None  # case (1,)
+    rows = np.stack([np.kron(x, x), np.kron(x, y), np.kron(x[::-1], x[::-1])])
+    kept, (split,) = he.u_eigen._components_of(eq, rows, 1e-8)
+    # Row 1 is untied; row 2 is case (1,).
+    assert kept.tolist() == [0]
+    assert np.array_equal(split[0], x)
 
 
 def test_solve_reports_case_facts_with_d_solve_witnesses():
@@ -349,8 +365,14 @@ def test_iteration_rejects_a_start_vector_without_a_finite_norm():
 def test_iteration_breakdown_on_annihilating_type():
     tm = he.TypeMap(n=2, r=1, s=1, factors=(np.zeros((2, 2)),))
     prob = he.UEigenProblem(a=np.eye(2), type_map=tm, mode="D")
-    with pytest.raises(he.IterationBreakdown):
+    with pytest.raises(he.IterationBreakdown, match="type map annihilates"):
         he.iterate_least_squares(prob, [1.0, 0.0])
+
+
+def test_iteration_on_a_square_pencil_says_it_needs_a_wide_one():
+    prob = load_problem("ex_7_1i.json")
+    with pytest.raises(he.IterationBreakdown, match="needs a wide pencil, not a 2x2 one"):
+        he.iterate_least_squares(prob, [0.6, 0.8])
 
 
 # ---------------------------------------------------------------------------
