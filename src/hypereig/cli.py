@@ -37,7 +37,7 @@ from .hypervector import monic_decompose
 from .pencil_eigen import (
     DegeneratePencilError,
     Pencil,
-    essential_eigenvalues_real,
+    _essential_eigenvalues_real,
     generic_rank,
     solution_at,
 )
@@ -278,7 +278,7 @@ def _cmd_pencil(args: argparse.Namespace) -> tuple[dict, list[str]]:
     b = np.atleast_2d(_load_array(args.b, 1, 2))
     pencil = Pencil(a, b)
     rg = generic_rank(pencil, seed=opts.seed, rank_tol=opts.rank_tol)
-    essential = essential_eigenvalues_real(pencil, rank_tol=opts.rank_tol, seed=opts.seed)
+    essential = _essential_eigenvalues_real(pencil, rg, opts.rank_tol, opts.seed)
     at = [float(v) for v in args.at] if args.at else list(essential)
     evals = [_pencil_evaluation(pencil, lam, rg, opts.rank_tol) for lam in at]
     report = {

@@ -11,10 +11,12 @@ Real essential eigenvalues are located as real roots of the Gram determinant
 ``p(λ) = det[(A−λB)(A−λB)ᵀ]``, a polynomial of degree at most twice the row
 count: it is evaluated on Chebyshev nodes over a bracketing interval, fitted
 exactly, and every candidate root is verified by an independent rank check
-before being reported.  When the determinant underflows at every node or
-overflows at one, both sides are scaled by a power of two, which keeps the
-roots, and the scan is repeated.  Square pencils delegate to the QZ
-algorithm.
+before being reported.  That check follows a golden-section polish of the
+candidate; a candidate whose singular values, by Weyl's inequality, keep
+the generic rank everywhere the polish could move it is rejected without
+one.  When the determinant underflows at every node or overflows at one,
+both sides are scaled by a power of two, which keeps the roots, and the
+scan is repeated.  Square pencils delegate to the QZ algorithm.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ _RANK_PROBES = 5
 
 #: Number of adaptive widenings of the root-search interval.
 _MAX_WIDENINGS = 2
+
+#: Half-width of :func:`_polish_rank_drop`'s search interval, relative to max(1, |λ|).
+_POLISH_SPAN = 1e-2
 
 
 class DegeneratePencilError(RuntimeError):
@@ -168,13 +173,17 @@ def square_pencil_eigen(p: Pencil) -> np.ndarray:
     """All generalized eigenvalues of a square pencil via QZ (complex, possibly infinite).
 
     Raises :class:`DegeneratePencilError` when the pencil is singular
-    (``det(A − λB)`` identically zero), which has no discrete spectrum.
+    (``det(A − λB)`` identically zero), which has no discrete spectrum: some
+    eigenvalue pair ``α/β`` has both parts at rounding level, ``|α|`` against
+    ``‖A‖`` and ``|β|`` against ``‖B‖``, so the test does not depend on the
+    pencil's scale.
     """
     if not p.is_square:
         raise ValueError(f"pencil is not square: shape {p.shape}")
     alpha, beta = sla.eig(p.a, p.b, right=False, homogeneous_eigvals=True)
-    scale = max(float(np.linalg.norm(p.a)), float(np.linalg.norm(p.b)), 1.0)
-    degenerate = (np.abs(alpha) <= 1e-12 * scale) & (np.abs(beta) <= 1e-12)
+    degenerate = (np.abs(alpha) <= 1e-12 * float(np.linalg.norm(p.a))) & (
+        np.abs(beta) <= 1e-12 * float(np.linalg.norm(p.b))
+    )
     if np.any(degenerate):
         raise DegeneratePencilError(
             "det(A - lam*B) vanishes identically; the pencil has no discrete spectrum"
@@ -206,23 +215,23 @@ def essential_eigenvalues_real(
     polynomial fitting on Chebyshev nodes over an adaptive interval; if the
     generic rank is below the row count, a maximal independent row subset is
     selected first.  Every candidate is verified by an independent rank check
-    (and a local σ_min polish) before being reported.
+    after a local σ_min polish; a candidate that Weyl's inequality proves
+    keeps the generic rank everywhere the polish can reach is rejected
+    without one (see :func:`_weyl_rejected`).
     """
+    rg = generic_rank(p, seed=seed, rank_tol=rank_tol)
+    return _essential_eigenvalues_real(p, rg, rank_tol, seed)
+
+
+def _essential_eigenvalues_real(
+    p: Pencil, rg: int, rank_tol: float | None, seed: int
+) -> list[float]:
+    """:func:`essential_eigenvalues_real` for a pencil whose generic rank ``rg`` is known."""
     m, n = p.shape
     if m > n:
         raise ValueError(f"pencil must be wide or square, got shape {p.shape}")
-    rg = generic_rank(p, seed=seed, rank_tol=rank_tol)
     if rg == 0:
         return []  # no rank can drop below 0
-
-    def verified(cands: list[float]) -> list[float]:
-        out: list[float] = []
-        for lam in cands:
-            lam = _polish_rank_drop(p, lam, rg)
-            if numerical_rank(p.at(lam), rank_tol) < rg:
-                if not any(abs(lam - prev) <= 1e-6 * max(1.0, abs(prev)) for prev in out):
-                    out.append(lam)
-        return sorted(out)
 
     if p.is_square:
         try:
@@ -235,7 +244,7 @@ def essential_eigenvalues_real(
                 for lam in lams
                 if np.isfinite(lam) and abs(lam.imag) <= 1e-8 * max(1.0, abs(lam))
             ]
-            return verified(reals)
+            return _verified(p, reals, rg, rank_tol)
         # Degenerate square pencil: fall through to the Gram scan on the
         # row-reduced pencil, which still isolates the rank-dropping λ.
 
@@ -292,7 +301,7 @@ def essential_eigenvalues_real(
         if not widen:
             break
         radius *= 4.0
-    return verified(cands)
+    return _verified(p, cands, rg, rank_tol)
 
 
 def _gram_scan(p: Pencil, nodes: np.ndarray) -> tuple[np.ndarray, float]:
@@ -344,6 +353,60 @@ def _cluster_centroids(roots: np.ndarray, radius: float) -> list[float]:
     return out
 
 
+def _verified(
+    p: Pencil, cands: list[float], rg: int, rank_tol: float | None
+) -> list[float]:
+    """The candidates whose polished λ drops the rank below ``rg``, deduplicated, ascending.
+
+    Candidates that :func:`_weyl_rejected` proves rejected are dropped
+    unpolished.  The others are polished one by one and rank-checked in one
+    stacked SVD, in candidate order, so the result is that of polishing and
+    checking every candidate in turn, to the bit.
+    """
+    if not cands:
+        return []
+    rejected = _weyl_rejected(p, np.array(cands), rg, rank_tol)
+    polished = [_polish_rank_drop(p, lam, rg) for lam, skip in zip(cands, rejected) if not skip]
+    if not polished:
+        return []
+    ranks = [svd_rank(sv, p.shape, rank_tol) for sv in _stacked_svals(p, np.array(polished))]
+    out: list[float] = []
+    for lam, rank in zip(polished, ranks):
+        if rank < rg and not any(abs(lam - prev) <= 1e-6 * max(1.0, abs(prev)) for prev in out):
+            out.append(lam)
+    return sorted(out)
+
+
+def _weyl_rejected(
+    p: Pencil, lams: np.ndarray, rg: int, rank_tol: float | None
+) -> np.ndarray:
+    """Mask of the candidates λ₀ that keep rank ``rg`` wherever the polish can move them.
+
+    :func:`_polish_rank_drop` returns a point within ``s = _POLISH_SPAN·max(1, |λ₀|)``
+    of λ₀, and by Weyl's inequality no singular value of ``A − λB`` moves by
+    more than ``|λ − λ₀|·‖B‖₂ ≤ s·‖B‖₂`` on that interval.  So when
+    ``σ_rg(λ₀) − s·‖B‖₂`` exceeds twice the largest threshold that
+    :func:`svd_rank` can use there, plus an allowance for the rounding of
+    forming and factoring ``A − λB``, the rank check after the polish finds
+    rank ``rg`` and rejects the candidate.
+    """
+    svals = _stacked_svals(p, lams)
+    eps = np.finfo(float).eps
+    b_norm = float(np.linalg.norm(p.b, 2))
+    drift = _POLISH_SPAN * np.maximum(1.0, np.abs(lams)) * b_norm
+    if rank_tol is None:
+        tol = max(p.shape) * eps * RANK_TOL_SCALE * (svals[:, 0] + drift)
+    else:
+        tol = float(rank_tol)
+    rounding = 8 * max(p.shape) * eps * (svals[:, 0] + drift + np.abs(lams) * b_norm)
+    return svals[:, rg - 1] - drift > 2.0 * tol + rounding
+
+
+def _stacked_svals(p: Pencil, lams: np.ndarray) -> np.ndarray:
+    """Singular values of ``A − λB`` at each λ, one row each, bit for bit those of ``p.at(λ)``."""
+    return np.linalg.svd(p.a - lams[:, None, None] * p.b, compute_uv=False)
+
+
 def _polish_rank_drop(p: Pencil, lam: float, rg: int) -> float:
     """Locally minimize the σ_rg singular value around a candidate root.
 
@@ -359,7 +422,7 @@ def _polish_rank_drop(p: Pencil, lam: float, rg: int) -> float:
         idx = min(max(rg, 1), svals.size) - 1
         return float(svals[idx])
 
-    span = 1e-2 * max(1.0, abs(lam))
+    span = _POLISH_SPAN * max(1.0, abs(lam))
     lo, hi = lam - span, lam + span
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
     c = hi - ratio * (hi - lo)

@@ -72,8 +72,8 @@ from .hypervector import (
 )
 from .pencil_eigen import (
     Pencil,
+    _essential_eigenvalues_real,
     _kernel_rows,
-    essential_eigenvalues_real,
     generic_rank,
     kernel_basis,
 )
@@ -1039,10 +1039,8 @@ def solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> SolveResult:
     witnesses: list[EigenWitness] = []
     for case in _cases(prob):
         eq = equations[case] = _case_equation(prob, case)
-        essential = essential_eigenvalues_real(
-            eq.pencil, rank_tol=opts.rank_tol, seed=opts.seed
-        )
         rg = generic_rank(eq.pencil, seed=opts.seed, rank_tol=opts.rank_tol)
+        essential = _essential_eigenvalues_real(eq.pencil, rg, opts.rank_tol, opts.seed)
         facts.append(CaseFacts(case, eq.pencil, rg, tuple(essential)))
         witnesses.extend(_search_case(eq, essential, opts))
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import hypereig as he
+import hypereig.pencil_eigen as pe
 from conftest import load_problem
 
 # Wide 2x3 pencil whose rank drops from 2 to 1 exactly at lambda = 1.
@@ -150,3 +152,121 @@ def test_kernel_basis_vectors_own_their_data(lam):
         assert v.base is None
         assert np.iscomplexobj(v) == (lam.imag != 0)
         assert np.array_equal(v, row)
+
+
+@pytest.mark.parametrize("exponent", [-45, -70, -330])
+def test_square_pencil_eigen_is_scale_free(exponent):
+    """Scaling both sides by a power of two keeps the QZ eigenvalues of a regular pencil."""
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+    expected = he.square_pencil_eigen(he.Pencil(a, b))
+    scaled = he.square_pencil_eigen(he.Pencil(np.ldexp(a, exponent), np.ldexp(b, exponent)))
+    np.testing.assert_allclose(scaled, expected, rtol=1e-12, atol=0.0)
+    m = np.ldexp(np.array([[1.0, 0.0], [0.0, 0.0]]), exponent)
+    with pytest.raises(he.DegeneratePencilError):
+        he.square_pencil_eigen(he.Pencil(m, m))
+
+
+# Planted pencils S·(diag(λ₁…λ_k) ⊕ L_ε blocks)·T: k planted λ and the ten
+# shapes from 3x4 to 14x17 of the pencil benchmark.
+PLANTED_SHAPES = [(2, (1,)), (3, (1,)), (4, (1,)), (3, (1, 1)), (5, (1, 2)),
+                  (8, (1, 1)), (6, (2, 3)), (9, (1, 1, 1)), (11, (1, 1, 1)), (8, (2, 2, 2))]
+
+
+def _planted_pencil(rng, k, epsilons):
+    """Wide pencil whose real essential eigenvalues are exactly the returned λ."""
+    lams = np.sort(rng.uniform(-2.0, 2.0, size=k))
+    core_a = [np.diag(lams)]
+    core_b = [np.eye(k)]
+    for eps in epsilons:  # L_ε = [I 0] − λ[0 I] keeps full row rank at every λ
+        core_a.append(np.hstack([np.eye(eps), np.zeros((eps, 1))]))
+        core_b.append(np.hstack([np.zeros((eps, 1)), np.eye(eps)]))
+    a, b = sla.block_diag(*core_a), sla.block_diag(*core_b)
+    s = np.eye(a.shape[0]) + 0.3 * rng.standard_normal((a.shape[0],) * 2) / np.sqrt(a.shape[0])
+    t = np.eye(a.shape[1]) + 0.3 * rng.standard_normal((a.shape[1],) * 2) / np.sqrt(a.shape[1])
+    return he.Pencil(s @ a @ t, s @ b @ t), lams
+
+
+def _verified_one_at_a_time(p, cands, rg, rank_tol):
+    """Polish, rank-check and deduplicate each candidate in turn (no Weyl skip)."""
+    out = []
+    for lam in cands:
+        lam = pe._polish_rank_drop(p, lam, rg)
+        if he.numerical_rank(p.at(lam), rank_tol) < rg:
+            if not any(abs(lam - prev) <= 1e-6 * max(1.0, abs(prev)) for prev in out):
+                out.append(lam)
+    return sorted(out)
+
+
+def _equivalence_pencils():
+    rng = np.random.default_rng(2024)
+    for k, eps in PLANTED_SHAPES:
+        yield _planted_pencil(rng, k, eps)[0]
+    for size in (3, 5):
+        s, t = rng.standard_normal((2, size, size))
+        yield he.Pencil(s @ np.diag(rng.uniform(-2.0, 2.0, size)) @ t, s @ t)
+    yield he.case_pencil(load_problem("ex_7_1ii.json"), (2,))
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-9, 1e-3])
+def test_weyl_skip_returns_what_one_at_a_time_verification_returns(monkeypatch, rank_tol):
+    skipped = polished = found = 0
+    for p in _equivalence_pencils():
+        got = he.essential_eigenvalues_real(p, rank_tol=rank_tol)
+        found += len(got)
+        with monkeypatch.context() as patch:
+            patch.setattr(pe, "_verified", _verified_one_at_a_time)
+            expected = he.essential_eigenvalues_real(p, rank_tol=rank_tol)
+        assert got == expected
+        assert all(type(lam) is float for lam in got)
+        # Count the candidates that skip the polish, so that the test is not vacuous.
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(pe, "_verified", lambda *args: calls.append(args) or [])
+            he.essential_eigenvalues_real(p, rank_tol=rank_tol)
+        for _, cands, rg, tol in calls:
+            if cands:
+                skip = pe._weyl_rejected(p, np.array(cands), rg, tol)
+                skipped += int(skip.sum())
+                polished += int((~skip).sum())
+    assert skipped > 0 and polished > 0 and found > 0
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-9, 1e-3])
+def test_weyl_skip_only_drops_candidates_the_polish_rejects(rank_tol):
+    rng = np.random.default_rng(7)
+    skipped = kept = 0
+    for k, eps in PLANTED_SHAPES:
+        p, roots = _planted_pencil(rng, k, eps)
+        rg = he.generic_rank(p, rank_tol=rank_tol)
+        cands = [lam + sign * 10.0**-e * max(1.0, abs(lam))
+                 for lam in roots for e in range(1, 17) for sign in (1, -1)]
+        cands += list(roots) + list(rng.uniform(-3.0, 3.0, size=20))
+        skip = pe._weyl_rejected(p, np.array(cands), rg, rank_tol)
+        for lam, s in zip(cands, skip):
+            if s:
+                polished_lam = pe._polish_rank_drop(p, lam, rg)
+                assert he.numerical_rank(p.at(polished_lam), rank_tol) >= rg, lam
+        skipped += int(skip.sum())
+        kept += int((~skip).sum())
+    assert skipped > 0 and kept > 0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_weyl_skip_keeps_candidates_at_the_edge_of_the_polish_span(sign):
+    """σ₂ = |0.5 − λ| with ‖B‖₂ = 1: a candidate just beyond the polish span of the root.
+
+    The polish ends at the edge of its span, 1e-2 from the candidate, where
+    σ₂ equals the overshoot x; it is accepted while x is below the rank
+    threshold (about 7e-13), so the bound must not skip it there.
+    """
+    p = he.Pencil(np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                  np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    rg = he.generic_rank(p)
+    assert rg == 2
+    for overshoot in (0.0, 1e-14, 1e-13, 3e-13, 1e-12, 3e-12, 1e-11):
+        cands = [0.5 - sign * (1e-2 + overshoot)]
+        expected = _verified_one_at_a_time(p, cands, rg, None)
+        assert pe._verified(p, cands, rg, None) == expected
+        assert bool(expected) == (overshoot < 1e-12)
+        assert bool(pe._weyl_rejected(p, np.array(cands), rg, None)[0]) == (overshoot > 1e-12)
