@@ -14,20 +14,35 @@ exactly, and every candidate root is verified by an independent rank check
 before being reported.  That check follows a golden-section polish of the
 candidate; a candidate whose singular values, by Weyl's inequality, keep
 the generic rank everywhere the polish could move it is rejected without
-one.  When the determinant underflows at every node or overflows at one,
-both sides are scaled by a power of two, which keeps the roots, and the
-scan is repeated.  Square pencils delegate to the QZ algorithm.
+one.  Candidates are verified in order, and a polish stops early once it is
+bound to end within the deduplication tolerance of a λ already accepted:
+such a candidate can only be a duplicate or be rejected, so stopping it
+changes no result.  When the determinant underflows at every node or
+overflows at one, both sides are scaled by a power of two, which keeps the
+roots, and the scan is repeated.  Square pencils delegate to the QZ
+algorithm.
+
+The singular values come from the LAPACK gufunc behind
+``np.linalg.svd(compute_uv=False)``, called without NumPy's wrapper, whose
+cost is a large share of a small SVD; the results are the same bits.
+``scipy.linalg`` is imported only by the QZ and row-selection paths, so that
+importing the package does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
+
+try:
+    from numpy.linalg._umath_linalg import svd as _svd_gufunc
+except ImportError:  # NumPy 1.x splits it into svd_m and svd_n
+    _svd_gufunc = None
 
 __all__ = [
     "DegeneratePencilError",
@@ -131,6 +146,28 @@ def svd_rank(
     return int(np.count_nonzero(svals > tol))
 
 
+def _raise_svd_nonconvergence(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _svd_errstate() -> np.errstate:
+    """The floating-point error state that ``np.linalg.svd`` enters around its gufunc."""
+    return np.errstate(call=_raise_svd_nonconvergence, invalid="call",
+                       over="ignore", divide="ignore", under="ignore")
+
+
+def _svals(m: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a float matrix or of each matrix of a stack.
+
+    Bit for bit ``np.linalg.svd(m, compute_uv=False)``: the same gufunc,
+    without NumPy's wrapper.  Call it inside :func:`_svd_errstate`, so that a
+    loop of SVDs enters the error state once.
+    """
+    if _svd_gufunc is None:
+        return np.linalg.svd(m, compute_uv=False)
+    return _svd_gufunc(m, signature="d->d")
+
+
 def numerical_rank(m: np.ndarray, rank_tol: float | None = None) -> int:
     """Rank by SVD with the :func:`svd_rank` threshold."""
     mat = np.atleast_2d(np.asarray(m, dtype=float))
@@ -148,7 +185,7 @@ def generic_rank(p: Pencil, seed: int = 42, rank_tol: float | None = None) -> in
     """
     rng = np.random.default_rng(seed)
     lams = rng.uniform(-1.0, 1.0, size=_RANK_PROBES)
-    return max(numerical_rank(p.at(lam), rank_tol) for lam in lams)
+    return max(svd_rank(svals, p.shape, rank_tol) for svals in _stacked_svals(p, lams))
 
 
 def classify(
@@ -178,6 +215,8 @@ def square_pencil_eigen(p: Pencil) -> np.ndarray:
     ``‖A‖`` and ``|β|`` against ``‖B‖``, so the test does not depend on the
     pencil's scale.
     """
+    import scipy.linalg as sla
+
     if not p.is_square:
         raise ValueError(f"pencil is not square: shape {p.shape}")
     alpha, beta = sla.eig(p.a, p.b, right=False, homogeneous_eigvals=True)
@@ -195,6 +234,8 @@ def square_pencil_eigen(p: Pencil) -> np.ndarray:
 
 def _select_rows(p: Pencil, rg: int, seed: int = 42) -> np.ndarray:
     """Indices of ``rg`` rows achieving the generic rank (pivoted QR at a probe λ)."""
+    import scipy.linalg as sla
+
     rng = np.random.default_rng(seed + 1)
     lam0 = rng.uniform(-1.0, 1.0)
     m = p.at(lam0)
@@ -305,9 +346,14 @@ def _essential_eigenvalues_real(
 
 
 def _gram_scan(p: Pencil, nodes: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gram determinants at the nodes and their largest magnitude (0, inf or nan on failure)."""
+    """Gram determinants at the nodes and their largest magnitude (0, inf or nan on failure).
+
+    One stack of ``A − λB`` for all nodes; each determinant has the bits of
+    ``det(m @ m.T)`` for the single matrix ``m = p.at(λ)``.
+    """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        vals = np.array([float(np.linalg.det(m @ m.T)) for m in map(p.at, nodes)])
+        ms = p.a - nodes[:, None, None] * p.b
+        vals = np.linalg.det(ms @ ms.swapaxes(1, 2))
         return vals, float(np.max(np.abs(vals)))
 
 
@@ -359,26 +405,37 @@ def _verified(
     """The candidates whose polished λ drops the rank below ``rg``, deduplicated, ascending.
 
     Candidates that :func:`_weyl_rejected` proves rejected are dropped
-    unpolished.  The others are polished one by one and rank-checked in one
-    stacked SVD, in candidate order, so the result is that of polishing and
-    checking every candidate in turn, to the bit.
+    unpolished.  The others are polished and rank-checked one by one, in
+    candidate order; a polished λ within ``1e-6·max(1, |prev|)`` of an
+    accepted ``prev`` is a duplicate.  Each polish is handed the λ accepted
+    so far and σ_rg(λ₀) from the Weyl test's stacked SVD (the same bits as
+    its own), and it stops early only when it is bound to return a duplicate
+    or a rejected λ (see :func:`_polish_rank_drop`).  So the result is that
+    of polishing and checking every candidate in turn, to the bit.
     """
     if not cands:
         return []
-    rejected = _weyl_rejected(p, np.array(cands), rg, rank_tol)
-    polished = [_polish_rank_drop(p, lam, rg) for lam, skip in zip(cands, rejected) if not skip]
-    if not polished:
-        return []
-    ranks = [svd_rank(sv, p.shape, rank_tol) for sv in _stacked_svals(p, np.array(polished))]
+    lams = np.array(cands)
+    svals = _stacked_svals(p, lams)
+    rejected = _weyl_rejected(p, lams, rg, rank_tol, svals)
     out: list[float] = []
-    for lam, rank in zip(polished, ranks):
-        if rank < rg and not any(abs(lam - prev) <= 1e-6 * max(1.0, abs(prev)) for prev in out):
+    for lam, sigma0, skip in zip(cands, svals[:, rg - 1], rejected):
+        if skip:
+            continue
+        lam = _polish_rank_drop(p, lam, rg, float(sigma0), out)
+        if lam is None or any(abs(lam - prev) <= 1e-6 * max(1.0, abs(prev)) for prev in out):
+            continue
+        if numerical_rank(p.at(lam), rank_tol) < rg:
             out.append(lam)
     return sorted(out)
 
 
 def _weyl_rejected(
-    p: Pencil, lams: np.ndarray, rg: int, rank_tol: float | None
+    p: Pencil,
+    lams: np.ndarray,
+    rg: int,
+    rank_tol: float | None,
+    svals: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mask of the candidates λ₀ that keep rank ``rg`` wherever the polish can move them.
 
@@ -388,9 +445,11 @@ def _weyl_rejected(
     ``σ_rg(λ₀) − s·‖B‖₂`` exceeds twice the largest threshold that
     :func:`svd_rank` can use there, plus an allowance for the rounding of
     forming and factoring ``A − λB``, the rank check after the polish finds
-    rank ``rg`` and rejects the candidate.
+    rank ``rg`` and rejects the candidate.  ``svals``, if given, holds
+    ``_stacked_svals(p, lams)``.
     """
-    svals = _stacked_svals(p, lams)
+    if svals is None:
+        svals = _stacked_svals(p, lams)
     eps = np.finfo(float).eps
     b_norm = float(np.linalg.norm(p.b, 2))
     drift = _POLISH_SPAN * np.maximum(1.0, np.abs(lams)) * b_norm
@@ -404,43 +463,65 @@ def _weyl_rejected(
 
 def _stacked_svals(p: Pencil, lams: np.ndarray) -> np.ndarray:
     """Singular values of ``A − λB`` at each λ, one row each, bit for bit those of ``p.at(λ)``."""
-    return np.linalg.svd(p.a - lams[:, None, None] * p.b, compute_uv=False)
+    with _svd_errstate():
+        return _svals(p.a - lams[:, None, None] * p.b)
 
 
-def _polish_rank_drop(p: Pencil, lam: float, rg: int) -> float:
+def _polish_rank_drop(
+    p: Pencil,
+    lam: float,
+    rg: int,
+    sigma0: float | None = None,
+    accepted: Sequence[float] = (),
+) -> float | None:
     """Locally minimize the σ_rg singular value around a candidate root.
 
     Polynomial root candidates (especially multiple roots) carry ~√ε error,
     while the strict rank threshold needs the root to near machine precision.
     Golden-section search has no √ε x-resolution floor (unlike parabolic
     scalar minimizers tuned for smooth objectives), so it can pin the kink of
-    the V-shaped singular-value curve to ~1e-15 relative accuracy.
+    the V-shaped singular-value curve to ~1e-15 relative accuracy.  It
+    returns the better of its bracket's two points if that beats σ_rg(λ₀),
+    else λ₀.
+
+    ``sigma0`` is σ_rg(λ₀) when the caller has it.  Given the λ already
+    ``accepted``, the search returns ``None`` as soon as it is bound to end
+    within half of :func:`_verified`'s deduplication tolerance of one of them,
+    where it could only be a duplicate or be rejected: the best σ_rg
+    found only falls, so once it is below σ_rg(λ₀) the result is a point of
+    the current bracket, and the bracket only shrinks.
     """
-
-    def sigma(l: float) -> float:
-        svals = np.linalg.svd(p.at(l), compute_uv=False)
-        idx = min(max(rg, 1), svals.size) - 1
-        return float(svals[idx])
-
+    a, b = p.a, p.b
+    idx = min(max(rg, 1), min(p.shape)) - 1
+    halves = [(prev, 0.5e-6 * max(1.0, abs(prev))) for prev in accepted]
     span = _POLISH_SPAN * max(1.0, abs(lam))
     lo, hi = lam - span, lam + span
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
     c = hi - ratio * (hi - lo)
     d = lo + ratio * (hi - lo)
-    fc, fd = sigma(c), sigma(d)
-    for _ in range(120):
-        if hi - lo <= 1e-15 * max(1.0, abs(lam)):
-            break
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = sigma(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = sigma(d)
-    best = c if fc <= fd else d
-    return float(best) if sigma(best) < sigma(lam) else lam
+    with _svd_errstate():
+        if sigma0 is None:
+            sigma0 = float(_svals(a - lam * b)[idx])
+        fc, fd = float(_svals(a - c * b)[idx]), float(_svals(a - d * b)[idx])
+        for _ in range(120):
+            if hi - lo <= 1e-15 * max(1.0, abs(lam)):
+                break
+            if (
+                halves
+                and min(fc, fd) < sigma0
+                and any(prev - half <= lo and hi <= prev + half for prev, half in halves)
+            ):
+                return None
+            if fc <= fd:
+                hi, d, fd = d, c, fc
+                c = hi - ratio * (hi - lo)
+                fc = float(_svals(a - c * b)[idx])
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + ratio * (hi - lo)
+                fd = float(_svals(a - d * b)[idx])
+    # σ_rg at the better point is min(fc, fd) itself: the same matrix, the same bits.
+    return float(c if fc <= fd else d) if min(fc, fd) < sigma0 else lam
 
 
 def _kernel_rows(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:

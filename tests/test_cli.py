@@ -205,6 +205,56 @@ def test_pencil_of_generic_rank_zero_has_no_essential_eigenvalues(tmp_path):
     assert rep["essential"] == []
 
 
+#: A square pencil (QZ) and a wide one of rank 2 with 3 rows (rows chosen by
+#: pivoted QR), each with the structured report that ``hypereig pencil`` gave
+#: while ``scipy.linalg`` was imported with the package.
+_QZ_AND_ROW_SELECTION_REPORTS = [
+    (
+        [[2, 1, 0], [0, 3, 1], [1, 0, -1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [],
+        {"command": "pencil", "shape": [3, 3], "generic_rank": 3,
+         "essential": [-0.5753851215787705],
+         "evaluations": [{"lambda": -0.5753851215787705, "class": "essential", "kernel_dim": 1,
+                          "kernel": [[0.2394725341734218, -0.3914814181556668,
+                                      0.8884791526059501]]}]},
+    ),
+    (
+        [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 1, 0]],
+        ["--at", "1"],
+        {"command": "pencil", "shape": [3, 4], "generic_rank": 2,
+         "essential": [0.9999999999999999],
+         "evaluations": [{"lambda": 1.0, "class": "essential", "kernel_dim": 3,
+                          "kernel": [[-0.0, -0.7071067811865475, -0.7071067811865476, 0.0],
+                                     [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]}]},
+    ),
+]
+
+
+@pytest.mark.parametrize("a, b, extra, expected", _QZ_AND_ROW_SELECTION_REPORTS,
+                         ids=["square-qz", "wide-rank-deficient"])
+def test_pencil_command_on_the_scipy_paths_keeps_its_report(tmp_path, a, b, extra, expected):
+    """A fresh interpreter imports ``scipy.linalg`` only when a pencil needs it.
+
+    Values are compared to rounding and kernels by their projectors, so that
+    another LAPACK build may pass.
+    """
+    proc = _cli_process(["pencil", _matrix_file(tmp_path / "a.json", a),
+                         _matrix_file(tmp_path / "b.json", b), *extra, "--format", "structured"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert sorted(rep) == sorted(expected)
+    for key in ("command", "shape", "generic_rank"):
+        assert rep[key] == expected[key]
+    assert rep["essential"] == pytest.approx(expected["essential"], rel=1e-12, abs=1e-15)
+    assert len(rep["evaluations"]) == len(expected["evaluations"])
+    for got, want in zip(rep["evaluations"], expected["evaluations"]):
+        assert got["lambda"] == pytest.approx(want["lambda"], rel=1e-12, abs=1e-15)
+        assert (got["class"], got["kernel_dim"]) == (want["class"], want["kernel_dim"])
+        assert got["residual"] <= 1e-14
+        k_got, k_want = np.array(got["kernel"]), np.array(want["kernel"])
+        np.testing.assert_allclose(k_got.T @ k_got, k_want.T @ k_want, atol=1e-12)
+
+
 def test_solve_with_every_pencil_of_rank_zero_succeeds(tmp_path):
     """A rank tolerance above every singular value makes each case's pencil rank 0."""
     code, rep = _run(["solve", str(PROBLEMS / "ex_6_3_1.json"), "--rank-tol", "1e300"], tmp_path)

@@ -1,5 +1,9 @@
 """Matrix pencils: generic rank, essential/quasi classification, kernels, QZ."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -176,6 +180,12 @@ PLANTED_SHAPES = [(2, (1,)), (3, (1,)), (4, (1,)), (3, (1, 1)), (5, (1, 2)),
 def _planted_pencil(rng, k, epsilons):
     """Wide pencil whose real essential eigenvalues are exactly the returned λ."""
     lams = np.sort(rng.uniform(-2.0, 2.0, size=k))
+    return _pencil_with_roots(rng, lams, epsilons), lams
+
+
+def _pencil_with_roots(rng, lams, epsilons):
+    """Wide pencil whose real essential eigenvalues are exactly ``lams``."""
+    k = len(lams)
     core_a = [np.diag(lams)]
     core_b = [np.eye(k)]
     for eps in epsilons:  # L_ε = [I 0] − λ[0 I] keeps full row rank at every λ
@@ -184,7 +194,7 @@ def _planted_pencil(rng, k, epsilons):
     a, b = sla.block_diag(*core_a), sla.block_diag(*core_b)
     s = np.eye(a.shape[0]) + 0.3 * rng.standard_normal((a.shape[0],) * 2) / np.sqrt(a.shape[0])
     t = np.eye(a.shape[1]) + 0.3 * rng.standard_normal((a.shape[1],) * 2) / np.sqrt(a.shape[1])
-    return he.Pencil(s @ a @ t, s @ b @ t), lams
+    return he.Pencil(s @ a @ t, s @ b @ t)
 
 
 def _verified_one_at_a_time(p, cands, rg, rank_tol):
@@ -206,6 +216,11 @@ def _equivalence_pencils():
         s, t = rng.standard_normal((2, size, size))
         yield he.Pencil(s @ np.diag(rng.uniform(-2.0, 2.0, size)) @ t, s @ t)
     yield he.case_pencil(load_problem("ex_7_1ii.json"), (2,))
+    # Two essential roots closer than, near and beyond the 1e-6 deduplication
+    # tolerance, relative to max(1, |λ|), below and above |λ| = 1.
+    for gap in (1e-7, 4e-7, 2e-6, 1e-4):
+        for lam in (0.3, -1.7):
+            yield _pencil_with_roots(rng, [lam, lam + gap * max(1.0, abs(lam)), 1.1], (1,))
 
 
 @pytest.mark.parametrize("rank_tol", [None, 1e-9, 1e-3])
@@ -270,3 +285,96 @@ def test_weyl_skip_keeps_candidates_at_the_edge_of_the_polish_span(sign):
         assert pe._verified(p, cands, rg, None) == expected
         assert bool(expected) == (overshoot < 1e-12)
         assert bool(pe._weyl_rejected(p, np.array(cands), rg, None)[0]) == (overshoot > 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 4), (5, 3), (1, 6), (6, 1), (14, 17), (17, 14)])
+@pytest.mark.parametrize("exponent", [0, 300, -300])
+def test_singular_values_helper_matches_numpy_bit_for_bit(shape, exponent):
+    rng = np.random.default_rng([*shape, exponent + 300])
+    stack = np.ldexp(rng.standard_normal((6, *shape)), exponent)
+    stack[1] = np.outer(stack[1, :, 0], stack[1, 0])  # rank one
+    stack[2, 0] = 0.0
+    with pe._svd_errstate():
+        got = pe._svals(stack)
+        singles = [pe._svals(m) for m in stack]
+    expected = np.linalg.svd(stack, compute_uv=False)
+    assert np.array_equal(got, expected)
+    for row, m, one in zip(expected, stack, singles):
+        assert np.array_equal(one, row)
+        assert np.array_equal(np.linalg.svd(m, compute_uv=False), row)
+
+
+def test_singular_values_helper_raises_like_numpy_on_nan():
+    m = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(m, compute_uv=False)
+    with pytest.raises(np.linalg.LinAlgError), pe._svd_errstate():
+        pe._svals(m)
+
+
+def test_stacked_gram_scan_matches_a_loop_over_the_nodes():
+    rng = np.random.default_rng(5)
+    for k, eps in PLANTED_SHAPES:
+        p, _ = _planted_pencil(rng, k, eps)
+        nodes = rng.uniform(-20.0, 20.0, size=2 * p.shape[0] + 1)
+        vals, peak = pe._gram_scan(p, nodes)
+        expected = np.array([float(np.linalg.det(m @ m.T)) for m in map(p.at, nodes)])
+        assert np.array_equal(vals, expected)
+        assert peak == float(np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-9, 1e-3])
+def test_early_stopped_polishes_end_at_duplicates(monkeypatch, rank_tol):
+    """A polish stops early only where the full polish returns a duplicate or a rejection."""
+    full_polish = pe._polish_rank_drop
+    stops = []
+
+    def polish(p, lam, rg, sigma0=None, accepted=()):
+        out = full_polish(p, lam, rg, sigma0, accepted)
+        if out is None:
+            stops.append((p, lam, rg, list(accepted)))
+        return out
+
+    monkeypatch.setattr(pe, "_polish_rank_drop", polish)
+    for p in _equivalence_pencils():
+        he.essential_eigenvalues_real(p, rank_tol=rank_tol)
+    assert stops
+    for p, lam, rg, accepted in stops:
+        polished = full_polish(p, lam, rg)
+        assert any(abs(polished - prev) <= 0.5e-6 * max(1.0, abs(prev)) for prev in accepted)
+
+
+def test_numpy_svd_fallback_gives_the_same_essential_eigenvalues(monkeypatch):
+    """NumPy 1.x has no ``svd`` gufunc; the helper then calls ``np.linalg.svd``."""
+    pencils = list(_equivalence_pencils())
+    expected = [he.essential_eigenvalues_real(p) for p in pencils]
+    calls = []
+    numpy_svd = np.linalg.svd
+    monkeypatch.setattr(pe, "_svd_gufunc", None)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or numpy_svd(*a, **k))
+    assert [he.essential_eigenvalues_real(p) for p in pencils] == expected
+    assert calls
+
+
+def test_importing_the_package_does_not_import_scipy_linalg():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(he.__file__)))
+    code = "import sys, hypereig; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("root", [1e-3, -1e-3, 2e-3, -4e-3, 5e-4, -6e-3])
+def test_early_stop_needs_a_polish_that_beats_the_candidate(root):
+    """σ₂ = min(|λ|, |root − λ|): a search from λ₀ = 0 may close in on ``root``.
+
+    Even inside the window of the accepted ``root`` it must not stop there,
+    since it cannot beat σ₂(0) = 0 and so returns λ₀, which is no duplicate.
+    """
+    p = he.Pencil(np.array([[0.0, 0.0, 0.0], [0.0, root, 0.0]]),
+                  np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert pe._polish_rank_drop(p, 0.0, 2, None, [root]) == pe._polish_rank_drop(p, 0.0, 2) == 0.0
+    cands = [root, 0.0]
+    assert pe._verified(p, cands, 2, None) == _verified_one_at_a_time(p, cands, 2, None)
+    assert len(pe._verified(p, cands, 2, None)) == 2

@@ -1,4 +1,4 @@
-"""Compare ``hypereig solve --format structured`` between two source trees.
+"""Compare ``hypereig solve`` and ``hypereig pencil`` reports between two source trees.
 
 Usage (from the repository root):
 
@@ -13,12 +13,19 @@ source directories (holding ``hypereig``).  The inputs are:
 * for each seed, the operations of the benchmark's ``d_cli`` and
   ``u_continua`` workloads, as ``bench/run.py`` builds them (the generated
   files of ``bench/problems.py`` and the shipped examples with their extra
-  arguments).
+  arguments);
+* ``hypereig pencil`` on ``ex_6_1_4_A``/``ex_6_1_4_B``, with and without
+  ``--at 1``;
+* for each seed, ``hypereig pencil`` on every pencil of the benchmark's
+  ``pencil_planted`` workload, as ``bench/run.py`` builds them, written as
+  order-2 hypermatrix files.
 
-Each tree runs every input through ``hypereig.cli.main`` in one worker
-process, with BLAS pinned to one thread and every warning shown.  The script
-prints each input whose stdout, stderr or exit code differs, and exits 1 if
-any does, else 0.  It reads ``bench/`` and does not change it.
+Every report is ``--format structured``.  Each tree runs every input through
+``hypereig.cli.main`` in one worker process, with BLAS pinned to one thread
+and every warning shown.  The script prints each input whose stdout, stderr
+or exit code differs, and the time each tree spent in each command, and
+exits 1 if any input differs, else 0.  It reads ``bench/`` and does not
+change it.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
 sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "src"))  # build_pencil_planted makes hypereig.Pencil objects
 
 import numpy as np  # noqa: E402
 
@@ -49,8 +57,9 @@ from hypereig import cli
 if not cli.__file__.startswith(src):
     sys.exit("hypereig was not imported from " + src)
 warnings.simplefilter("always")
-results, t0 = [], time.perf_counter()
+results, seconds = [], {}
 for argv in jobs:
+    t0 = time.perf_counter()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -60,8 +69,9 @@ for argv in jobs:
         except Exception:
             traceback.print_exc()
             code = "exception"
+    seconds[argv[0]] = seconds.get(argv[0], 0.0) + time.perf_counter() - t0
     results.append([out.getvalue(), err.getvalue(), code])
-json.dump({"results": results, "seconds": time.perf_counter() - t0}, sys.stdout)
+json.dump({"results": results, "seconds": seconds}, sys.stdout)
 """
 
 
@@ -93,11 +103,25 @@ def inputs(seeds: list[int], work: Path) -> list[list[str]]:
             seed_dir.mkdir()
             ops = build(np.random.default_rng(seed), seed_dir, references)
             jobs.extend(op.argv for op in ops)
-    unique = []
-    for argv in jobs:
-        if argv not in unique:
-            unique.append(argv)
-    return unique
+    pencil_files = [str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json")]
+    jobs.append(["pencil", *pencil_files, "--format", "structured"])
+    jobs.append(["pencil", *pencil_files, "--at", "1", "--format", "structured"])
+    for seed in seeds:
+        seed_dir = work / f"build_pencil_planted-{seed}"
+        seed_dir.mkdir()
+        ops = bench.build_pencil_planted(np.random.default_rng(seed), seed_dir, references)
+        for i, op in enumerate(ops):
+            files = [matrix_file(seed_dir / f"{i:03d}_{side}.json", m)
+                     for side, m in (("a", op.pencil.a), ("b", op.pencil.b))]
+            jobs.append(["pencil", *files, "--format", "structured"])
+    return [list(argv) for argv in dict.fromkeys(map(tuple, jobs))]
+
+
+def matrix_file(path: Path, m: np.ndarray) -> str:
+    """Write ``m`` as an order-2 hypermatrix file; JSON keeps every float exactly."""
+    hmx = {"order": 2, "dims": list(m.shape), "format": "dense", "entries": m.ravel().tolist()}
+    path.write_text(json.dumps(hmx), encoding="utf-8")
+    return str(path)
 
 
 def main(argv=None) -> int:
@@ -134,8 +158,12 @@ def main(argv=None) -> int:
             differing += 1
             print(f"differs ({', '.join(fields)}): {' '.join(argv[1:])}")
     ok = sum(code == 0 for _, _, code in new["results"])
-    print(f"{differing} of {len(jobs)} inputs differ ({ok} exit 0 in NEW_SRC); "
-          f"solve time {old['seconds']:.1f} s in OLD_SRC, {new['seconds']:.1f} s in NEW_SRC")
+    times = "; ".join(
+        f"{command} time {old['seconds'][command]:.1f} s in OLD_SRC, "
+        f"{new['seconds'][command]:.1f} s in NEW_SRC"
+        for command in sorted(old["seconds"])
+    )
+    print(f"{differing} of {len(jobs)} inputs differ ({ok} exit 0 in NEW_SRC); {times}")
     return 1 if differing else 0
 
 
