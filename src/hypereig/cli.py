@@ -37,7 +37,7 @@ from .hypervector import monic_decompose
 from .pencil_eigen import (
     DegeneratePencilError,
     Pencil,
-    _essential_eigenvalues_real,
+    essential_eigenvalues_real,
     generic_rank,
     solution_at,
 )
@@ -179,7 +179,6 @@ def _hmx_report(command: str, result: Hypermatrix) -> tuple[dict, list[str]]:
 #: declares only those it reads, and ``_options`` passes them on.
 _OPTION_FLAGS = {
     "seed": {"type": int, "help": "default: the problem's options.seed, else 42"},
-    "rank_tol": {"type": float},
     "residual_tol": {"type": float},
     "recon_tol": {"type": float},
     "eps": {"type": float},
@@ -255,10 +254,8 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return report, lines
 
 
-def _pencil_evaluation(
-    pencil: Pencil, lam: float, rg: int, rank_tol: float | None
-) -> dict:
-    sol = solution_at(pencil, lam, rg=rg, rank_tol=rank_tol)
+def _pencil_evaluation(pencil: Pencil, lam: float, rg: int) -> dict:
+    sol = solution_at(pencil, lam, rg=rg)
     kernel = list(sol.kernel) if sol is not None else []
     return {
         "lambda": lam,
@@ -277,10 +274,10 @@ def _cmd_pencil(args: argparse.Namespace) -> tuple[dict, list[str]]:
     a = np.atleast_2d(_load_array(args.a, 1, 2))
     b = np.atleast_2d(_load_array(args.b, 1, 2))
     pencil = Pencil(a, b)
-    rg = generic_rank(pencil, seed=opts.seed, rank_tol=opts.rank_tol)
-    essential = _essential_eigenvalues_real(pencil, rg, opts.rank_tol, opts.seed)
+    rg = generic_rank(pencil, seed=opts.seed)
+    essential = essential_eigenvalues_real(pencil, seed=opts.seed, rg=rg)
     at = [float(v) for v in args.at] if args.at else list(essential)
-    evals = [_pencil_evaluation(pencil, lam, rg, opts.rank_tol) for lam in at]
+    evals = [_pencil_evaluation(pencil, lam, rg) for lam in at]
     report = {
         "command": "pencil",
         "shape": list(pencil.shape),
@@ -385,7 +382,7 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
             "case": list(facts.case),
             "generic_rank": facts.generic_rank,
             "essential": [
-                _pencil_evaluation(facts.pencil, lam, facts.generic_rank, opts.rank_tol)
+                _pencil_evaluation(facts.pencil, lam, facts.generic_rank)
                 for lam in facts.essential
             ],
         }
@@ -500,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "pencil",
         _cmd_pencil,
         "generic rank, essential eigenvalues, kernels of a pencil",
-        ["seed", "rank_tol"],
+        ["seed"],
     )
     p.add_argument("a")
     p.add_argument("b")

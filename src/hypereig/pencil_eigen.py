@@ -5,7 +5,9 @@ For a (possibly non-square) pencil the *generic rank* is the maximal rank of
 the generic rank is *essential* (there are finitely many); a λ where the
 pencil is merely column-rank-deficient without a drop is *quasi* (for a wide
 pencil that is every other λ — a continuum, so quasi is a classification,
-never an enumeration).
+never an enumeration).  Both are rank decisions, and every rank here, of a
+probe, a candidate or a kernel, is taken with :func:`svd_rank`'s threshold,
+relative to the largest singular value.
 
 Real essential eigenvalues are located as real roots of the Gram determinant
 ``p(λ) = det[(A−λB)(A−λB)ᵀ]``, a polynomial of degree at most twice the row
@@ -128,21 +130,16 @@ class EigenSolution:
     residual: float = 0.0
 
 
-def svd_rank(
-    svals: np.ndarray, shape: tuple[int, ...], rank_tol: float | None = None
-) -> int:
+def svd_rank(svals: np.ndarray, shape: tuple[int, ...]) -> int:
     """Count of singular values (descending) of a ``shape`` matrix above the rank threshold.
 
-    The threshold is ``max(shape)·ε·σ_max·RANK_TOL_SCALE``, or an explicit
-    ``rank_tol``; a matrix with no positive singular value has rank 0.
+    The threshold is ``max(shape)·ε·σ_max·RANK_TOL_SCALE``, relative to the
+    largest singular value, so the rank does not depend on the matrix's
+    scale; a matrix with no positive singular value has rank 0.
     """
     if not (svals.size and svals[0] > 0.0):
         return 0
-    tol = (
-        max(shape) * np.finfo(float).eps * svals[0] * RANK_TOL_SCALE
-        if rank_tol is None
-        else float(rank_tol)
-    )
+    tol = max(shape) * np.finfo(float).eps * svals[0] * RANK_TOL_SCALE
     return int(np.count_nonzero(svals > tol))
 
 
@@ -157,7 +154,7 @@ def _svd_errstate() -> np.errstate:
 
 
 def _svals(m: np.ndarray) -> np.ndarray:
-    """Singular values, descending, of a float matrix or of each matrix of a stack.
+    """Singular values, descending, of a float or complex matrix or of each matrix of a stack.
 
     Bit for bit ``np.linalg.svd(m, compute_uv=False)``: the same gufunc,
     without NumPy's wrapper.  Call it inside :func:`_svd_errstate`, so that a
@@ -165,18 +162,19 @@ def _svals(m: np.ndarray) -> np.ndarray:
     """
     if _svd_gufunc is None:
         return np.linalg.svd(m, compute_uv=False)
-    return _svd_gufunc(m, signature="d->d")
+    return _svd_gufunc(m, signature="D->d" if np.iscomplexobj(m) else "d->d")
 
 
-def numerical_rank(m: np.ndarray, rank_tol: float | None = None) -> int:
-    """Rank by SVD with the :func:`svd_rank` threshold."""
-    mat = np.atleast_2d(np.asarray(m, dtype=float))
+def numerical_rank(m: np.ndarray) -> int:
+    """Rank of a real or complex matrix by SVD with the :func:`svd_rank` threshold."""
+    mat = np.atleast_2d(np.asarray(m, dtype=complex if np.iscomplexobj(m) else float))
     if mat.size == 0:
         return 0
-    return svd_rank(np.linalg.svd(mat, compute_uv=False), mat.shape, rank_tol)
+    with _svd_errstate():
+        return svd_rank(_svals(mat), mat.shape)
 
 
-def generic_rank(p: Pencil, seed: int = 42, rank_tol: float | None = None) -> int:
+def generic_rank(p: Pencil, seed: int = 42) -> int:
     """Maximal numerical rank of ``A − λB`` over seeded random probe values of λ.
 
     ``_RANK_PROBES`` probes are drawn uniformly from ``[−1, 1]``; the generic
@@ -185,19 +183,14 @@ def generic_rank(p: Pencil, seed: int = 42, rank_tol: float | None = None) -> in
     """
     rng = np.random.default_rng(seed)
     lams = rng.uniform(-1.0, 1.0, size=_RANK_PROBES)
-    return max(svd_rank(svals, p.shape, rank_tol) for svals in _stacked_svals(p, lams))
+    return max(svd_rank(svals, p.shape) for svals in _stacked_svals(p, lams))
 
 
-def classify(
-    p: Pencil,
-    lam: float | complex,
-    rg: int | None = None,
-    tol: float | None = None,
-) -> EigenClass | None:
+def classify(p: Pencil, lam: float | complex, rg: int | None = None) -> EigenClass | None:
     """Classify λ: ``ESSENTIAL`` (rank drop), ``QUASI`` (column deficiency only), or ``None``."""
     if rg is None:
-        rg = generic_rank(p, rank_tol=tol)
-    rank = numerical_rank(p.at(lam), tol)
+        rg = generic_rank(p)
+    rank = numerical_rank(p.at(lam))
     ncols = p.shape[1]
     if rank < rg:
         return EigenClass.ESSENTIAL
@@ -243,34 +236,26 @@ def _select_rows(p: Pencil, rg: int, seed: int = 42) -> np.ndarray:
     return np.sort(piv[:rg])
 
 
-def essential_eigenvalues_real(
-    p: Pencil,
-    rank_tol: float | None = None,
-    seed: int = 42,
-) -> list[float]:
+def essential_eigenvalues_real(p: Pencil, seed: int = 42, rg: int | None = None) -> list[float]:
     """Real essential eigenvalues of a wide or square pencil, rank-verified.
 
-    Square pencils delegate to :func:`square_pencil_eigen` and keep the real
-    finite eigenvalues that drop the rank below generic.  Wide pencils locate
-    real roots of the Gram determinant ``det[(A−λB)(A−λB)ᵀ]`` by exact
-    polynomial fitting on Chebyshev nodes over an adaptive interval; if the
-    generic rank is below the row count, a maximal independent row subset is
-    selected first.  Every candidate is verified by an independent rank check
-    after a local σ_min polish; a candidate that Weyl's inequality proves
-    keeps the generic rank everywhere the polish can reach is rejected
-    without one (see :func:`_weyl_rejected`).
+    ``rg`` is the pencil's generic rank if the caller has taken it, else
+    :func:`generic_rank` takes it with ``seed``.  Square pencils delegate to
+    :func:`square_pencil_eigen` and keep the real finite eigenvalues that
+    drop the rank below generic.  Wide pencils locate real roots of the Gram
+    determinant ``det[(A−λB)(A−λB)ᵀ]`` by exact polynomial fitting on
+    Chebyshev nodes over an adaptive interval; if the generic rank is below
+    the row count, a maximal independent row subset is selected first.
+    Every candidate is verified by an independent rank check after a local
+    σ_min polish; a candidate that Weyl's inequality proves keeps the generic
+    rank everywhere the polish can reach is rejected without one (see
+    :func:`_weyl_rejected`).
     """
-    rg = generic_rank(p, seed=seed, rank_tol=rank_tol)
-    return _essential_eigenvalues_real(p, rg, rank_tol, seed)
-
-
-def _essential_eigenvalues_real(
-    p: Pencil, rg: int, rank_tol: float | None, seed: int
-) -> list[float]:
-    """:func:`essential_eigenvalues_real` for a pencil whose generic rank ``rg`` is known."""
     m, n = p.shape
     if m > n:
         raise ValueError(f"pencil must be wide or square, got shape {p.shape}")
+    if rg is None:
+        rg = generic_rank(p, seed=seed)
     if rg == 0:
         return []  # no rank can drop below 0
 
@@ -285,7 +270,7 @@ def _essential_eigenvalues_real(
                 for lam in lams
                 if np.isfinite(lam) and abs(lam.imag) <= 1e-8 * max(1.0, abs(lam))
             ]
-            return _verified(p, reals, rg, rank_tol)
+            return _verified(p, reals, rg)
         # Degenerate square pencil: fall through to the Gram scan on the
         # row-reduced pencil, which still isolates the rank-dropping λ.
 
@@ -342,7 +327,7 @@ def _essential_eigenvalues_real(
         if not widen:
             break
         radius *= 4.0
-    return _verified(p, cands, rg, rank_tol)
+    return _verified(p, cands, rg)
 
 
 def _gram_scan(p: Pencil, nodes: np.ndarray) -> tuple[np.ndarray, float]:
@@ -399,9 +384,7 @@ def _cluster_centroids(roots: np.ndarray, radius: float) -> list[float]:
     return out
 
 
-def _verified(
-    p: Pencil, cands: list[float], rg: int, rank_tol: float | None
-) -> list[float]:
+def _verified(p: Pencil, cands: list[float], rg: int) -> list[float]:
     """The candidates whose polished λ drops the rank below ``rg``, deduplicated, ascending.
 
     Candidates that :func:`_weyl_rejected` proves rejected are dropped
@@ -417,7 +400,7 @@ def _verified(
         return []
     lams = np.array(cands)
     svals = _stacked_svals(p, lams)
-    rejected = _weyl_rejected(p, lams, rg, rank_tol, svals)
+    rejected = _weyl_rejected(p, lams, rg, svals)
     out: list[float] = []
     for lam, sigma0, skip in zip(cands, svals[:, rg - 1], rejected):
         if skip:
@@ -425,17 +408,13 @@ def _verified(
         lam = _polish_rank_drop(p, lam, rg, float(sigma0), out)
         if lam is None or any(abs(lam - prev) <= 1e-6 * max(1.0, abs(prev)) for prev in out):
             continue
-        if numerical_rank(p.at(lam), rank_tol) < rg:
+        if numerical_rank(p.at(lam)) < rg:
             out.append(lam)
     return sorted(out)
 
 
 def _weyl_rejected(
-    p: Pencil,
-    lams: np.ndarray,
-    rg: int,
-    rank_tol: float | None,
-    svals: np.ndarray | None = None,
+    p: Pencil, lams: np.ndarray, rg: int, svals: np.ndarray | None = None
 ) -> np.ndarray:
     """Mask of the candidates λ₀ that keep rank ``rg`` wherever the polish can move them.
 
@@ -453,10 +432,7 @@ def _weyl_rejected(
     eps = np.finfo(float).eps
     b_norm = float(np.linalg.norm(p.b, 2))
     drift = _POLISH_SPAN * np.maximum(1.0, np.abs(lams)) * b_norm
-    if rank_tol is None:
-        tol = max(p.shape) * eps * RANK_TOL_SCALE * (svals[:, 0] + drift)
-    else:
-        tol = float(rank_tol)
+    tol = max(p.shape) * eps * RANK_TOL_SCALE * (svals[:, 0] + drift)
     rounding = 8 * max(p.shape) * eps * (svals[:, 0] + drift + np.abs(lams) * b_norm)
     return svals[:, rg - 1] - drift > 2.0 * tol + rounding
 
@@ -524,39 +500,30 @@ def _polish_rank_drop(
     return float(c if fc <= fd else d) if min(fc, fd) < sigma0 else lam
 
 
-def _kernel_rows(m: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def _kernel_rows(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical null space of ``m``, one vector per row."""
     _, svals, vh = np.linalg.svd(m)
-    return vh[svd_rank(svals, m.shape, rank_tol) :].conj()
+    return vh[svd_rank(svals, m.shape) :].conj()
 
 
-def kernel_basis(
-    p: Pencil,
-    lam: float | complex,
-    rank_tol: float | None = None,
-) -> list[np.ndarray]:
+def kernel_basis(p: Pencil, lam: float | complex) -> list[np.ndarray]:
     """Orthonormal basis of the numerical null space of ``A − λB`` (possibly empty)."""
     m = p.at(lam)
     if np.iscomplexobj(m) and np.max(np.abs(m.imag)) == 0.0:
         m = m.real
-    kernel = _kernel_rows(m, rank_tol)
+    kernel = _kernel_rows(m)
     if np.iscomplexobj(kernel) and not kernel.imag.any():
         kernel = kernel.real
     # Copies, so that a kernel vector does not keep the whole Vᴴ alive.
     return [v.copy() for v in kernel]
 
 
-def solution_at(
-    p: Pencil,
-    lam: float | complex,
-    rg: int | None = None,
-    rank_tol: float | None = None,
-) -> EigenSolution | None:
+def solution_at(p: Pencil, lam: float | complex, rg: int | None = None) -> EigenSolution | None:
     """Bundle classification + kernel basis + residual at λ (``None`` if not an eigenvalue)."""
-    eigen_class = classify(p, lam, rg=rg, tol=rank_tol)
+    eigen_class = classify(p, lam, rg=rg)
     if eigen_class is None:
         return None
-    kernel = tuple(kernel_basis(p, lam, rank_tol))
+    kernel = tuple(kernel_basis(p, lam))
     residual = max(
         (float(np.linalg.norm(p.at(lam) @ v)) for v in kernel),
         default=0.0,

@@ -9,10 +9,13 @@ unknown, turning the problem into a linear pencil in ``ξ``.
 
 One driver, :func:`solve`, enumerates the anchor cases of the problem's
 mode once, builds each case's original equation and pencil, records the
-pencil's generic rank and real essential eigenvalues, and searches the
-pencil kernels for structured eigenvectors.  Every case is one equation
-``A·x^lhs = λ·B̃·x^rhs`` over a tuple ``x`` of monic components, where
-``x^k`` is the Kronecker product of the tuple repeated ``k`` times:
+pencil's generic rank and, from :func:`essential_eigenvalues_real` given
+that rank, its real essential eigenvalues, and searches the pencil kernels
+for structured eigenvectors.  Every rank, kernel dimension included, is
+judged relative to the largest singular value (``pencil_eigen.svd_rank``);
+no option sets it.  Every case is one equation ``A·x^lhs = λ·B̃·x^rhs``
+over a tuple ``x`` of monic components, where ``x^k`` is the Kronecker
+product of the tuple repeated ``k`` times:
 
 * U mode — decomposable witnesses ``x_1 ⊗ … ⊗ x_r``, over
   ``x = (x_1, …, x_r)`` with powers ``(1, s)`` (one case per tuple of
@@ -72,8 +75,8 @@ from .hypervector import (
 )
 from .pencil_eigen import (
     Pencil,
-    _essential_eigenvalues_real,
     _kernel_rows,
+    essential_eigenvalues_real,
     generic_rank,
     kernel_basis,
 )
@@ -414,7 +417,6 @@ class SolveOptions:
     """What counts as an eigenpair, and how the least-squares iteration runs."""
 
     seed: int = 42
-    rank_tol: float | None = None
     residual_tol: float = 1e-9
     recon_tol: float = DEFAULT_RECON_TOL
     eps: float = 1e-5
@@ -427,8 +429,7 @@ class SolveOptions:
                 raise ValueError(f"option {name} must be an integer")
             if value < 0:
                 raise ValueError(f"option {name} must be non-negative")
-        optional = () if self.rank_tol is None else ("rank_tol",)
-        for name in ("residual_tol", "recon_tol", "eps") + optional:
+        for name in ("residual_tol", "recon_tol", "eps"):
             value = getattr(self, name)
             if not _is_number(value, numbers.Real):
                 raise ValueError(f"option {name} must be a real number")
@@ -813,7 +814,7 @@ def _search_case(
     rng = np.random.default_rng(opts.seed + 1009 * (index_join(case, n, len(case)) + 1))
     kernels = []
     for lam in _lambda_candidates(essential, opts):
-        basis = kernel_basis(eq.pencil, lam, opts.rank_tol)
+        basis = kernel_basis(eq.pencil, lam)
         if basis:
             kernels.append((lam, np.column_stack(basis)))
 
@@ -1039,8 +1040,8 @@ def solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> SolveResult:
     witnesses: list[EigenWitness] = []
     for case in _cases(prob):
         eq = equations[case] = _case_equation(prob, case)
-        rg = generic_rank(eq.pencil, seed=opts.seed, rank_tol=opts.rank_tol)
-        essential = _essential_eigenvalues_real(eq.pencil, rg, opts.rank_tol, opts.seed)
+        rg = generic_rank(eq.pencil, seed=opts.seed)
+        essential = essential_eigenvalues_real(eq.pencil, seed=opts.seed, rg=rg)
         facts.append(CaseFacts(case, eq.pencil, rg, tuple(essential)))
         witnesses.extend(_search_case(eq, essential, opts))
 

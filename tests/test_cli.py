@@ -256,10 +256,48 @@ def test_pencil_command_on_the_scipy_paths_keeps_its_report(tmp_path, a, b, extr
 
 
 def test_solve_with_every_pencil_of_rank_zero_succeeds(tmp_path):
-    """A rank tolerance above every singular value makes each case's pencil rank 0."""
-    code, rep = _run(["solve", str(PROBLEMS / "ex_6_3_1.json"), "--rank-tol", "1e300"], tmp_path)
+    """A problem whose A and B̃ are zero makes each case's pencil rank 0."""
+    pd = load_problem_dict("ex_6_3_1.json")
+    pd["hypermatrix"]["nz"] = []
+    pd["type"] = {"explicit": [np.zeros((2, 8)).tolist()], "n": 2, "r": 3}
+    code, rep = _run(["solve", _write_json(tmp_path / "zero.json", pd)], tmp_path)
     assert code == 0
     assert [(sec["generic_rank"], sec["essential"]) for sec in rep["cases"]] == [(0, [])] * 2
+
+
+def test_solve_and_pencil_take_each_rank_once_and_call_the_one_finder(monkeypatch, tmp_path):
+    """Each pencil gets one ``generic_rank`` and one ``essential_eigenvalues_real`` call.
+
+    The functions are rebound in every ``hypereig`` module that refers to
+    them, the way the benchmark's tracer does, so a call through a private
+    entry point would not be counted.
+    """
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for k, m in sys.modules.items()
+               if m is not None and (k == "hypereig" or k.startswith("hypereig."))]
+    for fn in (he.generic_rank, he.essential_eigenvalues_real):
+        wrapper = counted(fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    code, rep = _run(["solve", str(PROBLEMS / "ex_6_3_1.json")], tmp_path)
+    assert code == 0
+    assert len(rep["cases"]) == 2
+    assert sorted(calls) == ["essential_eigenvalues_real"] * 2 + ["generic_rank"] * 2
+    calls.clear()
+    code, rep = _run(["pencil", str(PROBLEMS / "ex_6_1_4_A.json"),
+                      str(PROBLEMS / "ex_6_1_4_B.json")], tmp_path)
+    assert code == 0
+    assert rep["essential"]
+    assert calls == ["generic_rank", "essential_eigenvalues_real"]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +488,7 @@ def test_solve_reports_case_pencil_facts(tmp_path, name, mode, ranks, essential)
 
 
 REMOVED_SOLVER_KNOBS = {
-    "quasi_probes", "newton_starts", "proj_starts", "newton_max_iter", "pair_angles",
+    "quasi_probes", "newton_starts", "proj_starts", "newton_max_iter", "pair_angles", "rank_tol",
 }
 
 
@@ -475,7 +513,7 @@ REMOVED_SOLVER_KNOBS = {
         ("solve", {"newton_max_iter": 1.5}, [], "newton_max_iter"),
         ("solve", {"seed": "x"}, [], "seed"),
         ("solve", {"rank_tol": float("inf")}, [], "rank_tol"),
-        ("solve", {}, ["--rank-tol", "nan"], "rank_tol"),
+        ("solve", {"rank_tol": float("nan")}, [], "rank_tol"),
         ("solve", {"recon_tol": float("inf")}, [], "recon_tol"),
         ("iterate", {}, ["--eps", "inf", "--x0", "1,0,0"], "eps"),
         ("solve", {"residual_tol": 10**400}, [], "residual_tol"),
@@ -621,10 +659,13 @@ def test_malformed_problem_files_are_input_errors(tmp_path, problem):
          "--eps", "1"],
         ["iterate", str(PROBLEMS / "ex_7_101.json"), "--x0", "1,0,0", "--rank-tol", "1"],
         ["solve", str(PROBLEMS / "ex_7_101.json"), "--quasi-probes", "3"],
+        ["pencil", str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json"),
+         "--rank-tol", "1e-9"],
+        ["solve", str(PROBLEMS / "ex_6_3_1.json"), "--rank-tol", "1e-9"],
     ],
     ids=[
         "top-level-seed", "top-level-format", "stp-eps", "iterate-rank-tol",
-        "solve-quasi-probes",
+        "solve-quasi-probes", "pencil-rank-tol", "solve-rank-tol",
     ],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
@@ -635,9 +676,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
 
 
 COMMON_FLAGS = {"--help", "--format", "--output"}
-SOLVER_FLAGS = {
-    "--seed", "--rank-tol", "--residual-tol", "--recon-tol", "--eps", "--max-iter",
-}
+SOLVER_FLAGS = {"--seed", "--residual-tol", "--recon-tol", "--eps", "--max-iter"}
 
 
 @pytest.mark.parametrize(
@@ -649,7 +688,7 @@ SOLVER_FLAGS = {
         ("flatten", COMMON_FLAGS | {"--rows", "--cols"}),
         ("contract", COMMON_FLAGS | {"--shared"}),
         ("decompose", COMMON_FLAGS | {"--dims", "--recon-tol"}),
-        ("pencil", COMMON_FLAGS | {"--at", "--seed", "--rank-tol"}),
+        ("pencil", COMMON_FLAGS | {"--at", "--seed"}),
         ("solve", COMMON_FLAGS | SOLVER_FLAGS | {"--iterate", "--x0"}),
         ("iterate", COMMON_FLAGS | {"--x0", "--eps", "--max-iter"}),
     ],
@@ -673,6 +712,7 @@ def test_each_command_help_lists_exactly_its_flags(capsys, command, flags):
         ("proj_starts", 6),
         ("newton_max_iter", 60),
         ("pair_angles", 24),
+        ("rank_tol", None),
     ],
 )
 def test_removed_solver_knobs_are_unknown_options(tmp_path, capsys, knob, value):
@@ -687,17 +727,12 @@ def test_removed_solver_knobs_are_unknown_options(tmp_path, capsys, knob, value)
 @pytest.mark.parametrize(
     "command, name, value",
     [
-        ("pencil", "rank_tol", "nan"),
-        ("pencil", "rank_tol", "inf"),
         ("decompose", "recon_tol", "nan"),
         ("decompose", "recon_tol", "-inf"),
     ],
 )
 def test_non_finite_tolerance_flags_are_input_errors(tmp_path, capsys, command, name, value):
-    if command == "pencil":
-        operands = [str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json")]
-    else:
-        operands = [_vector_file(tmp_path / "v.json", [2.0, 4.0, 0.0, 2.0]), "--dims", "2,2"]
+    operands = [_vector_file(tmp_path / "v.json", [2.0, 4.0, 0.0, 2.0]), "--dims", "2,2"]
     flag = "--" + name.replace("_", "-")
     code, out = _run([command, *operands, f"{flag}={value}"], tmp_path)
     assert code == 2

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ def test_numerical_rank_thresholds():
     assert he.numerical_rank(np.eye(3)) == 3
     m = np.diag([1.0, 1e-16])
     assert he.numerical_rank(m) == 1
-    assert he.numerical_rank(m, rank_tol=1e-18) == 2
+    # Relative to the largest singular value: the scale does not matter.
+    assert he.numerical_rank(np.ldexp(m, -600)) == 1
+    assert he.numerical_rank(np.diag([1.0, 1e-11])) == 2
+    assert he.numerical_rank(np.diag([1e-300, 1e-305])) == 2
 
 
 def test_generic_rank_wide_pencil():
@@ -58,6 +62,21 @@ def test_classification():
     p = he.Pencil(A23, B23)
     assert he.classify(p, 0.0) is he.EigenClass.QUASI
     assert he.classify(p, 1.0) is he.EigenClass.ESSENTIAL
+
+
+@pytest.mark.parametrize("lam", [1j, -1j], ids=["i", "-i"])
+def test_complex_eigenvalues_of_a_rotation_pencil_are_essential(lam):
+    """``A − λI`` with ``A`` a rotation drops from rank 2 to 1 at λ = ±i."""
+    p = he.Pencil(np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert he.numerical_rank(p.at(lam)) == 1
+        assert he.classify(p, lam) is he.EigenClass.ESSENTIAL
+        sol = he.solution_at(p, lam)
+    assert sol is not None and sol.eigen_class is he.EigenClass.ESSENTIAL
+    assert len(sol.kernel) == 1
+    assert sol.residual <= 1e-15
+    assert he.classify(p, 0.5 + 1j) is None
 
 
 def test_psi_reduction_reduced_matrix():
@@ -197,15 +216,20 @@ def _pencil_with_roots(rng, lams, epsilons):
     return he.Pencil(s @ a @ t, s @ b @ t)
 
 
-def _verified_one_at_a_time(p, cands, rg, rank_tol):
+def _verified_one_at_a_time(p, cands, rg):
     """Polish, rank-check and deduplicate each candidate in turn (no Weyl skip)."""
     out = []
     for lam in cands:
         lam = pe._polish_rank_drop(p, lam, rg)
-        if he.numerical_rank(p.at(lam), rank_tol) < rg:
+        if he.numerical_rank(p.at(lam)) < rg:
             if not any(abs(lam - prev) <= 1e-6 * max(1.0, abs(prev)) for prev in out):
                 out.append(lam)
     return sorted(out)
+
+
+def _scaled(p, scale):
+    """``p`` with both sides times ``scale`` (``None``: ``p`` itself); λ and ranks stay."""
+    return p if scale is None else he.Pencil(scale * p.a, scale * p.b)
 
 
 def _equivalence_pencils():
@@ -223,45 +247,52 @@ def _equivalence_pencils():
             yield _pencil_with_roots(rng, [lam, lam + gap * max(1.0, abs(lam)), 1.1], (1,))
 
 
-@pytest.mark.parametrize("rank_tol", [None, 1e-9, 1e-3])
-def test_weyl_skip_returns_what_one_at_a_time_verification_returns(monkeypatch, rank_tol):
+# The Weyl tests run on the pencils as built and with both sides scaled down,
+# which keeps every λ: the rank threshold and the bound must scale along.
+SCALES = [None, 1e-9, 1e-3]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_weyl_skip_returns_what_one_at_a_time_verification_returns(monkeypatch, scale):
     skipped = polished = found = 0
     for p in _equivalence_pencils():
-        got = he.essential_eigenvalues_real(p, rank_tol=rank_tol)
+        p = _scaled(p, scale)
+        got = he.essential_eigenvalues_real(p)
         found += len(got)
         with monkeypatch.context() as patch:
             patch.setattr(pe, "_verified", _verified_one_at_a_time)
-            expected = he.essential_eigenvalues_real(p, rank_tol=rank_tol)
+            expected = he.essential_eigenvalues_real(p)
         assert got == expected
         assert all(type(lam) is float for lam in got)
         # Count the candidates that skip the polish, so that the test is not vacuous.
         calls = []
         with monkeypatch.context() as patch:
             patch.setattr(pe, "_verified", lambda *args: calls.append(args) or [])
-            he.essential_eigenvalues_real(p, rank_tol=rank_tol)
-        for _, cands, rg, tol in calls:
+            he.essential_eigenvalues_real(p)
+        for _, cands, rg in calls:
             if cands:
-                skip = pe._weyl_rejected(p, np.array(cands), rg, tol)
+                skip = pe._weyl_rejected(p, np.array(cands), rg)
                 skipped += int(skip.sum())
                 polished += int((~skip).sum())
     assert skipped > 0 and polished > 0 and found > 0
 
 
-@pytest.mark.parametrize("rank_tol", [None, 1e-9, 1e-3])
-def test_weyl_skip_only_drops_candidates_the_polish_rejects(rank_tol):
+@pytest.mark.parametrize("scale", SCALES)
+def test_weyl_skip_only_drops_candidates_the_polish_rejects(scale):
     rng = np.random.default_rng(7)
     skipped = kept = 0
     for k, eps in PLANTED_SHAPES:
         p, roots = _planted_pencil(rng, k, eps)
-        rg = he.generic_rank(p, rank_tol=rank_tol)
+        p = _scaled(p, scale)
+        rg = he.generic_rank(p)
         cands = [lam + sign * 10.0**-e * max(1.0, abs(lam))
                  for lam in roots for e in range(1, 17) for sign in (1, -1)]
         cands += list(roots) + list(rng.uniform(-3.0, 3.0, size=20))
-        skip = pe._weyl_rejected(p, np.array(cands), rg, rank_tol)
+        skip = pe._weyl_rejected(p, np.array(cands), rg)
         for lam, s in zip(cands, skip):
             if s:
                 polished_lam = pe._polish_rank_drop(p, lam, rg)
-                assert he.numerical_rank(p.at(polished_lam), rank_tol) >= rg, lam
+                assert he.numerical_rank(p.at(polished_lam)) >= rg, lam
         skipped += int(skip.sum())
         kept += int((~skip).sum())
     assert skipped > 0 and kept > 0
@@ -281,10 +312,10 @@ def test_weyl_skip_keeps_candidates_at_the_edge_of_the_polish_span(sign):
     assert rg == 2
     for overshoot in (0.0, 1e-14, 1e-13, 3e-13, 1e-12, 3e-12, 1e-11):
         cands = [0.5 - sign * (1e-2 + overshoot)]
-        expected = _verified_one_at_a_time(p, cands, rg, None)
-        assert pe._verified(p, cands, rg, None) == expected
+        expected = _verified_one_at_a_time(p, cands, rg)
+        assert pe._verified(p, cands, rg) == expected
         assert bool(expected) == (overshoot < 1e-12)
-        assert bool(pe._weyl_rejected(p, np.array(cands), rg, None)[0]) == (overshoot > 1e-12)
+        assert bool(pe._weyl_rejected(p, np.array(cands), rg)[0]) == (overshoot > 1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (5, 3), (1, 6), (6, 1), (14, 17), (17, 14)])
@@ -323,8 +354,8 @@ def test_stacked_gram_scan_matches_a_loop_over_the_nodes():
         assert peak == float(np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("rank_tol", [None, 1e-9, 1e-3])
-def test_early_stopped_polishes_end_at_duplicates(monkeypatch, rank_tol):
+@pytest.mark.parametrize("scale", SCALES)
+def test_early_stopped_polishes_end_at_duplicates(monkeypatch, scale):
     """A polish stops early only where the full polish returns a duplicate or a rejection."""
     full_polish = pe._polish_rank_drop
     stops = []
@@ -337,7 +368,7 @@ def test_early_stopped_polishes_end_at_duplicates(monkeypatch, rank_tol):
 
     monkeypatch.setattr(pe, "_polish_rank_drop", polish)
     for p in _equivalence_pencils():
-        he.essential_eigenvalues_real(p, rank_tol=rank_tol)
+        he.essential_eigenvalues_real(_scaled(p, scale))
     assert stops
     for p, lam, rg, accepted in stops:
         polished = full_polish(p, lam, rg)
@@ -354,6 +385,22 @@ def test_numpy_svd_fallback_gives_the_same_essential_eigenvalues(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or numpy_svd(*a, **k))
     assert [he.essential_eigenvalues_real(p) for p in pencils] == expected
     assert calls
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_complex_singular_values_match_numpy_bit_for_bit(monkeypatch, fallback):
+    """Complex input takes the ``D->d`` loop, which ``np.linalg.svd`` runs, or the fallback."""
+    if fallback:
+        monkeypatch.setattr(pe, "_svd_gufunc", None)
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((4, 5, 7)) + 1j * rng.standard_normal((4, 5, 7))
+    stack[1] = np.outer(stack[1, :, 0], stack[1, 0])  # rank one
+    with pe._svd_errstate():
+        got = pe._svals(stack)
+    expected = np.linalg.svd(stack, compute_uv=False)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
+    assert [he.numerical_rank(m) for m in stack] == [5, 1, 5, 5]
 
 
 def test_importing_the_package_does_not_import_scipy_linalg():
@@ -376,5 +423,5 @@ def test_early_stop_needs_a_polish_that_beats_the_candidate(root):
                   np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert pe._polish_rank_drop(p, 0.0, 2, None, [root]) == pe._polish_rank_drop(p, 0.0, 2) == 0.0
     cands = [root, 0.0]
-    assert pe._verified(p, cands, 2, None) == _verified_one_at_a_time(p, cands, 2, None)
-    assert len(pe._verified(p, cands, 2, None)) == 2
+    assert pe._verified(p, cands, 2) == _verified_one_at_a_time(p, cands, 2)
+    assert len(pe._verified(p, cands, 2)) == 2

@@ -144,7 +144,7 @@ def _search_case_one_at_a_time(eq, essential, opts):
         opts.seed + 1009 * (index_join(eq.case, eq.n, len(eq.case)) + 1)
     )
     for lam in ue._lambda_candidates(essential, opts):
-        basis = he.kernel_basis(eq.pencil, lam, opts.rank_tol)
+        basis = he.kernel_basis(eq.pencil, lam)
         if not basis:
             continue
         kmat = np.column_stack(basis)
