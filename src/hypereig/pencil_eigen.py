@@ -27,6 +27,8 @@ algorithm.
 The singular values come from the LAPACK gufunc behind
 ``np.linalg.svd(compute_uv=False)``, called without NumPy's wrapper, whose
 cost is a large share of a small SVD; the results are the same bits.
+:func:`_lstsq` does the same for ``np.linalg.lstsq``, for a whole stack of
+least-squares systems at once (the Gauss–Newton steps of ``u_eigen``).
 ``scipy.linalg`` is imported only by the QZ and row-selection paths, so that
 importing the package does not pay for it.
 """
@@ -42,9 +44,9 @@ from enum import Enum
 import numpy as np
 
 try:
-    from numpy.linalg._umath_linalg import svd as _svd_gufunc
-except ImportError:  # NumPy 1.x splits it into svd_m and svd_n
-    _svd_gufunc = None
+    from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc, svd as _svd_gufunc
+except ImportError:  # NumPy 1.x splits them into lstsq_m/lstsq_n and svd_m/svd_n
+    _lstsq_gufunc = _svd_gufunc = None
 
 __all__ = [
     "DegeneratePencilError",
@@ -143,14 +145,22 @@ def svd_rank(svals: np.ndarray, shape: tuple[int, ...]) -> int:
     return int(np.count_nonzero(svals > tol))
 
 
-def _raise_svd_nonconvergence(err: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("SVD did not converge")
+def _linalg_errstate(message: str) -> np.errstate:
+    """The floating-point error state that ``np.linalg`` enters around a LAPACK gufunc.
+
+    A LAPACK failure sets the invalid flag, which then raises
+    ``LinAlgError(message)``.
+    """
+
+    def fail(err: str, flag: int) -> None:
+        raise np.linalg.LinAlgError(message)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 def _svd_errstate() -> np.errstate:
-    """The floating-point error state that ``np.linalg.svd`` enters around its gufunc."""
-    return np.errstate(call=_raise_svd_nonconvergence, invalid="call",
-                       over="ignore", divide="ignore", under="ignore")
+    """The error state that ``np.linalg.svd`` enters around its gufunc."""
+    return _linalg_errstate("SVD did not converge")
 
 
 def _svals(m: np.ndarray) -> np.ndarray:
@@ -163,6 +173,26 @@ def _svals(m: np.ndarray) -> np.ndarray:
     if _svd_gufunc is None:
         return np.linalg.svd(m, compute_uv=False)
     return _svd_gufunc(m, signature="D->d" if np.iscomplexobj(m) else "d->d")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of each real system ``a[i] · x = b[i]`` of a stack.
+
+    ``a`` is a ``(k × F × m)`` stack and ``b`` a ``(k × F)`` one; row ``i``
+    of the ``(k × m)`` result is bit for bit
+    ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``.  All ``k`` systems go
+    through one call of the gufunc that ``np.linalg.lstsq`` calls for one,
+    with its arguments and error state, so each one meets the same LAPACK
+    ``gelsd`` call with the same workspace as it would alone.  A system with
+    a NaN or infinite entry in ``a`` raises the same ``LinAlgError``.
+    """
+    if _lstsq_gufunc is None:
+        steps = [np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(a, b)]
+        return np.array(steps).reshape(len(a), a.shape[-1])
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with _linalg_errstate("SVD did not converge in Linear Least Squares"):
+        x = _lstsq_gufunc(a, b[..., None], rcond, signature="ddd->ddid")[0]
+    return x[..., 0]
 
 
 def numerical_rank(m: np.ndarray) -> int:

@@ -37,8 +37,8 @@ being reported, and witnesses are returned monic.  Each tactic works on a
 batch: a stack of kernel vectors or of Gauss–Newton points, one per row.
 Every row is computed with the same floating-point operations as the row
 alone (elementwise products, one matrix-vector or dot kernel per row, one
-least-squares solve per row), so the witnesses do not depend on the
-batching, bit for bit.
+least-squares solve per row in a stacked LAPACK call), so the witnesses do
+not depend on the batching, bit for bit.
 
 A witness that annihilates both sides satisfies the equation for every λ and
 is reported once, with λ canonicalized to 0.
@@ -76,6 +76,7 @@ from .hypervector import (
 from .pencil_eigen import (
     Pencil,
     _kernel_rows,
+    _lstsq,
     essential_eigenvalues_real,
     generic_rank,
     kernel_basis,
@@ -566,9 +567,11 @@ def _gauss_newton(
     line search (the first of the step scales 1, 1/2, …, 2⁻²⁴ that lowers the
     residual norm) and stopping rule, so each end point is the one a run
     from that start alone reaches, bit for bit.  Per iteration the rows
-    still running share one ``fun`` call for their Jacobians and two for
-    their line searches: the full step, then the 24 shorter ones together
-    for the rows whose full step failed.
+    still running share one ``fun`` call for their Jacobians, one stacked
+    LAPACK ``gelsd`` call for their steps (:func:`pencil_eigen._lstsq`,
+    which gives each row the bits ``np.linalg.lstsq`` gives it alone), and
+    two ``fun`` calls for their line searches: the full step, then the 24
+    shorter ones together for the rows whose full step failed.
     """
     scales = 0.5 ** np.arange(25)
     x = np.array(starts, dtype=float)
@@ -588,9 +591,7 @@ def _gauss_newton(
         sides = fun(probes.reshape(-1, m), np.repeat(live, 2 * m))
         sides = sides.reshape(live.size, 2, m, -1)
         jac_t = (sides[:, 0] - sides[:, 1]) / (2 * h)[:, :, None]
-        steps = np.array(
-            [np.linalg.lstsq(jt.T, -f[i], rcond=None)[0] for i, jt in zip(live, jac_t)]
-        )
+        steps = _lstsq(jac_t.transpose(0, 2, 1), -f[live])
         finite = np.all(np.isfinite(steps), axis=1)
         live, steps = live[finite], steps[finite]
         scale = np.zeros(live.size)  # the accepted step scale; 0 while none is found

@@ -343,6 +343,45 @@ def test_singular_values_helper_raises_like_numpy_on_nan():
         pe._svals(m)
 
 
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("shape", [(5, 3), (4, 4), (3, 5), (1, 4), (6, 1), (12, 7)])
+@pytest.mark.parametrize("exponent", [0, 300, -300])
+def test_least_squares_helper_matches_numpy_bit_for_bit(monkeypatch, shape, exponent, fallback):
+    """Each system of the stack gets the bits ``np.linalg.lstsq`` gives it alone."""
+    if fallback:
+        monkeypatch.setattr(pe, "_lstsq_gufunc", None)
+    rows, cols = shape
+    rng = np.random.default_rng([rows, cols, exponent + 300])
+    # Transposed views, as the Gauss–Newton step passes its Jacobians.
+    a = np.ldexp(rng.standard_normal((5, cols, rows)), exponent).transpose(0, 2, 1)
+    b = np.ldexp(rng.standard_normal((5, rows)), exponent)
+    a[1, :, 0] = 0.0  # a zero column
+    a[2, :, -1] = a[2, :, 0]  # two equal columns
+    a[3] = 0.0
+    for k in (5, 1):
+        got = pe._lstsq(a[:k], b[:k])
+        assert got.shape == (k, cols) and got.dtype == np.float64
+        for row, m, rhs in zip(got, a, b):
+            assert np.array_equal(row, np.linalg.lstsq(m, rhs, rcond=None)[0])
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_least_squares_helper_raises_like_numpy_on_nan_and_inf(monkeypatch, bad, fallback):
+    if fallback:
+        monkeypatch.setattr(pe, "_lstsq_gufunc", None)
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 4, 2))
+    b = rng.standard_normal((3, 4))
+    a[1, 2, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError) as expected:
+        np.linalg.lstsq(a[1], b[1], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        pe._lstsq(a, b)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
 def test_stacked_gram_scan_matches_a_loop_over_the_nodes():
     rng = np.random.default_rng(5)
     for k, eps in PLANTED_SHAPES:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hypereig as he
+from hypereig import pencil_eigen as pe
 from hypereig import u_eigen as ue
 from hypereig.hypervector import _decompose_rows, index_join
 
@@ -251,8 +252,7 @@ def _orig_resid_rows(eq):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_batched_gauss_newton_equals_one_start_at_a_time(name):
+def _check_gauss_newton_case(name):
     eq, _ = _case(name)
     kmat = _kernel(eq)
     free = sum(eq.n - anchor for anchor in eq.case)
@@ -267,7 +267,7 @@ def test_batched_gauss_newton_equals_one_start_at_a_time(name):
             assert np.array_equal(end, _gauss_newton_one(resid_one, start, ue._NEWTON_MAX_ITER))
 
 
-def test_batched_gauss_newton_keeps_each_line_search_and_stop():
+def _check_line_searches_and_stops():
     """A rough residual whose line searches accept at every depth up to the
     25th trial, or fail, and whose runs stop at different iterations."""
 
@@ -286,6 +286,75 @@ def test_batched_gauss_newton_keeps_each_line_search_and_stop():
         ends = ue._gauss_newton(rows, starts, max_iter)
         for start, end in zip(starts, ends):
             assert np.array_equal(end, _gauss_newton_one(one, start, max_iter))
+
+
+def _without_lstsq_gufunc(monkeypatch):
+    """Take NumPy 1.x's path, which has no stacked ``lstsq`` gufunc; count its one-row solves."""
+    calls = []
+    numpy_lstsq = np.linalg.lstsq
+    monkeypatch.setattr(pe, "_lstsq_gufunc", None)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or numpy_lstsq(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_batched_gauss_newton_equals_one_start_at_a_time(name):
+    _check_gauss_newton_case(name)
+
+
+def test_batched_gauss_newton_keeps_each_line_search_and_stop():
+    _check_line_searches_and_stops()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_gauss_newton_without_the_lstsq_gufunc_equals_one_start_at_a_time(monkeypatch, name):
+    calls = _without_lstsq_gufunc(monkeypatch)
+    _check_gauss_newton_case(name)
+    assert calls
+
+
+def test_gauss_newton_without_the_lstsq_gufunc_keeps_each_line_search_and_stop(monkeypatch):
+    calls = _without_lstsq_gufunc(monkeypatch)
+    _check_line_searches_and_stops()
+    assert calls
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_stacked_lstsq_call_per_gauss_newton_iteration(monkeypatch, name):
+    """Every iteration solves the steps of all its running rows in one gufunc call."""
+    gufunc = pe._lstsq_gufunc
+    if gufunc is None:
+        pytest.skip("this NumPy has no stacked lstsq gufunc")
+    eq, essential = _case(name)  # its Chebyshev fit calls np.linalg.lstsq
+    stacks, jacobians = [], []
+
+    def counted_gufunc(a, *args, **kwargs):
+        stacks.append(len(a))
+        return gufunc(a, *args, **kwargs)
+
+    def one_row_lstsq(*args, **kwargs):
+        raise AssertionError("a one-row np.linalg.lstsq call")
+
+    batched = ue._gauss_newton
+
+    def counted_gauss_newton(fun, starts, max_iter):
+        m = starts.shape[1]
+        assert 2 * m != 24  # a Jacobian call differs from a short line search
+
+        def counted_fun(points, owners):
+            running = np.unique(owners)
+            if np.array_equal(owners, np.repeat(running, 2 * m)):  # one per iteration
+                jacobians.append(running.size)
+            return fun(points, owners)
+
+        return batched(counted_fun, starts, max_iter)
+
+    monkeypatch.setattr(pe, "_lstsq_gufunc", counted_gufunc)
+    monkeypatch.setattr(np.linalg, "lstsq", one_row_lstsq)
+    monkeypatch.setattr(ue, "_gauss_newton", counted_gauss_newton)
+    assert ue._search_case(eq, essential, he.SolveOptions())
+    assert len(jacobians) > 10 and max(jacobians) > 1
+    assert stacks == jacobians
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
