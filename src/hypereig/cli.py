@@ -6,9 +6,10 @@ eigen-solvers (``solve``, ``iterate``).  Matrix and vector files use the same
 JSON syntax as hypermatrix files, with order 2 / order 1.
 
 Every command takes ``--format`` and ``--output``; a command takes a seed or
-tolerance flag only if it reads it, and such a flag overrides the
-``SolveOptions`` field of the same name.  Output is ``text`` (floats rounded
-to 4 decimals) or ``structured`` (a single JSON object with full-precision
+tolerance flag only if it reads it, and the flags of ``solve`` and
+``iterate`` override the ``SolveOptions`` field of the same name.  Output is
+``text`` (floats to 4 decimals, or ``.4e`` for a nonzero one that would print
+as 0 or is at least 1e6) or ``structured`` (one JSON object with full-precision
 floats; byte-identical for identical inputs and seed).  Exit codes: 0 success
 (including empty results), 2 input error, 3 numerical breakdown.
 """
@@ -33,7 +34,7 @@ from .hypermatrix import (
     hmx_from_dict,
     hmx_to_dict,
 )
-from .hypervector import monic_decompose
+from .hypervector import DEFAULT_RECON_TOL, monic_decompose
 from .pencil_eigen import (
     DegeneratePencilError,
     Pencil,
@@ -46,6 +47,7 @@ from .u_eigen import (
     IterationBreakdown,
     IterationState,
     SolveOptions,
+    _check_tolerance,
     iterate_least_squares,
     options_from_dict,
     problem_from_dict,
@@ -135,7 +137,10 @@ def _jsonify(obj):
 
 
 def _fnum(v: float) -> str:
+    """``v`` to 4 decimals, or ``.4e`` if it is nonzero and would print as 0 or is ≥ 1e6."""
     s = f"{float(v):.4f}"
+    if v and (abs(v) >= 1e6 or float(s) == 0.0):
+        return f"{float(v):.4e}"
     return "0.0000" if s == "-0.0000" else s
 
 
@@ -180,13 +185,12 @@ def _hmx_report(command: str, result: Hypermatrix) -> tuple[dict, list[str]]:
 _OPTION_FLAGS = {
     "seed": {"type": int, "help": "default: the problem's options.seed, else 42"},
     "residual_tol": {"type": float},
-    "recon_tol": {"type": float},
     "eps": {"type": float},
     "max_iter": {"type": int},
 }
 
 
-def _options(args: argparse.Namespace, file_options: dict | None = None) -> SolveOptions:
+def _options(args: argparse.Namespace, file_options: dict | None) -> SolveOptions:
     """The problem file's options overridden by the option flags the command declares."""
     flags = {name: getattr(args, name) for name in _OPTION_FLAGS if hasattr(args, name)}
     return options_from_dict(file_options, **flags)
@@ -231,12 +235,12 @@ def _cmd_contract(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    opts = _options(args)
+    _check_tolerance("recon_tol", args.recon_tol)
     x = _load_array(args.vector, 1)
     dims = _parse_index_list(args.dims, "dims")
     if not dims:
         raise ValueError("--dims must list at least one factor dimension")
-    d = monic_decompose(x, dims, recon_tol=opts.recon_tol)
+    d = monic_decompose(x, dims, recon_tol=args.recon_tol)
     if d is None:
         report = {"command": "decompose", "decomposable": False}
         return report, ["NOT_DECOMPOSABLE"]
@@ -267,15 +271,14 @@ def _pencil_evaluation(pencil: Pencil, lam: float, rg: int) -> dict:
 
 
 def _cmd_pencil(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    opts = _options(args)
     for lam in args.at or ():
         if not math.isfinite(lam):
             raise ValueError(f"--at {lam} is not a finite eigenvalue")
     a = np.atleast_2d(_load_array(args.a, 1, 2))
     b = np.atleast_2d(_load_array(args.b, 1, 2))
     pencil = Pencil(a, b)
-    rg = generic_rank(pencil, seed=opts.seed)
-    essential = essential_eigenvalues_real(pencil, seed=opts.seed, rg=rg)
+    rg = generic_rank(pencil)
+    essential = essential_eigenvalues_real(pencil, rg=rg)
     at = [float(v) for v in args.at] if args.at else list(essential)
     evals = [_pencil_evaluation(pencil, lam, rg) for lam in at]
     report = {
@@ -487,17 +490,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shared index pairs A:B, comma separated (e.g. 2:1,3:2)",
     )
 
-    p = command(
-        "decompose", _cmd_decompose, "monic decomposition of a vector", ["recon_tol"]
-    )
+    p = command("decompose", _cmd_decompose, "monic decomposition of a vector")
     p.add_argument("vector")
     p.add_argument("--dims", required=True, help="factor dimensions, comma separated")
+    p.add_argument("--recon-tol", type=float, default=DEFAULT_RECON_TOL)
 
     p = command(
-        "pencil",
-        _cmd_pencil,
-        "generic rank, essential eigenvalues, kernels of a pencil",
-        ["seed"],
+        "pencil", _cmd_pencil, "generic rank, essential eigenvalues, kernels of a pencil"
     )
     p.add_argument("a")
     p.add_argument("b")

@@ -47,6 +47,9 @@ MU_RELATIVE_FLOOR = 1e-10
 #: Default relative reconstruction tolerance certifying a decomposition.
 DEFAULT_RECON_TOL = 1e-8
 
+#: Components count as tied (equal) when they differ by at most this (max-norm).
+TIE_TOL = 1e-9
+
 
 def _as_vector(x: np.ndarray | Sequence) -> np.ndarray:
     arr = np.asarray(x, dtype=float).ravel()
@@ -273,10 +276,10 @@ def monic_decompose(
     return MonicDecomposition(e=int(e[0]), c0=float(c0[0]), components=tuple(c[0] for c in comps))
 
 
-def is_diagonal(d: MonicDecomposition, tol: float = 1e-9) -> bool:
-    """Whether all components of a decomposition are equal (within ``tol``, componentwise)."""
+def is_diagonal(d: MonicDecomposition) -> bool:
+    """Whether all components of a decomposition are tied (equal within ``TIE_TOL``)."""
     comps = d.components
     if len({c.size for c in comps}) != 1:
         return False
     first = comps[0]
-    return all(np.max(np.abs(c - first)) <= tol for c in comps[1:])
+    return all(np.max(np.abs(c - first)) <= TIE_TOL for c in comps[1:])

@@ -67,8 +67,11 @@ __all__ = [
 #: Multiplier on the machine-epsilon rank threshold (see :func:`svd_rank`).
 RANK_TOL_SCALE = 1e3
 
-#: Random λ values at which :func:`generic_rank` takes the rank.
-_RANK_PROBES = 5
+#: Fixed λ probes, uniform draws from [−1, 1]: five for :func:`generic_rank`
+#: (``np.random.default_rng(42)``'s) and one for :func:`_select_rows` (43's).
+_RANK_PROBES = np.array([0.5479120971119267, -0.12224312049589536, 0.7171958398227649,
+                         0.3947360581187278, -0.8116453042247009])
+_ROW_PROBE = 0.3045985254018213
 
 #: Number of adaptive widenings of the root-search interval.
 _MAX_WIDENINGS = 2
@@ -204,16 +207,13 @@ def numerical_rank(m: np.ndarray) -> int:
         return svd_rank(_svals(mat), mat.shape)
 
 
-def generic_rank(p: Pencil, seed: int = 42) -> int:
-    """Maximal numerical rank of ``A − λB`` over seeded random probe values of λ.
+def generic_rank(p: Pencil) -> int:
+    """Maximal numerical rank of ``A − λB`` over the fixed probe values ``_RANK_PROBES``.
 
-    ``_RANK_PROBES`` probes are drawn uniformly from ``[−1, 1]``; the generic
-    rank is attained off a finite set, so a handful of probes suffices and the
-    fixed seed keeps results reproducible.
+    The generic rank is attained off a finite set, so a handful of probes
+    suffices, and fixed ones make it a function of the pencil alone.
     """
-    rng = np.random.default_rng(seed)
-    lams = rng.uniform(-1.0, 1.0, size=_RANK_PROBES)
-    return max(svd_rank(svals, p.shape) for svals in _stacked_svals(p, lams))
+    return max(svd_rank(svals, p.shape) for svals in _stacked_svals(p, _RANK_PROBES))
 
 
 def classify(p: Pencil, lam: float | complex, rg: int | None = None) -> EigenClass | None:
@@ -255,22 +255,19 @@ def square_pencil_eigen(p: Pencil) -> np.ndarray:
     return lams
 
 
-def _select_rows(p: Pencil, rg: int, seed: int = 42) -> np.ndarray:
-    """Indices of ``rg`` rows achieving the generic rank (pivoted QR at a probe λ)."""
+def _select_rows(p: Pencil, rg: int) -> np.ndarray:
+    """Indices of ``rg`` rows achieving the generic rank (pivoted QR at ``_ROW_PROBE``)."""
     import scipy.linalg as sla
 
-    rng = np.random.default_rng(seed + 1)
-    lam0 = rng.uniform(-1.0, 1.0)
-    m = p.at(lam0)
-    _, _, piv = sla.qr(m.T, mode="economic", pivoting=True)
+    _, _, piv = sla.qr(p.at(_ROW_PROBE).T, mode="economic", pivoting=True)
     return np.sort(piv[:rg])
 
 
-def essential_eigenvalues_real(p: Pencil, seed: int = 42, rg: int | None = None) -> list[float]:
+def essential_eigenvalues_real(p: Pencil, rg: int | None = None) -> list[float]:
     """Real essential eigenvalues of a wide or square pencil, rank-verified.
 
     ``rg`` is the pencil's generic rank if the caller has taken it, else
-    :func:`generic_rank` takes it with ``seed``.  Square pencils delegate to
+    :func:`generic_rank` takes it.  Square pencils delegate to
     :func:`square_pencil_eigen` and keep the real finite eigenvalues that
     drop the rank below generic.  Wide pencils locate real roots of the Gram
     determinant ``det[(A−λB)(A−λB)ᵀ]`` by exact polynomial fitting on
@@ -285,7 +282,7 @@ def essential_eigenvalues_real(p: Pencil, seed: int = 42, rg: int | None = None)
     if m > n:
         raise ValueError(f"pencil must be wide or square, got shape {p.shape}")
     if rg is None:
-        rg = generic_rank(p, seed=seed)
+        rg = generic_rank(p)
     if rg == 0:
         return []  # no rank can drop below 0
 
@@ -306,7 +303,7 @@ def essential_eigenvalues_real(p: Pencil, seed: int = 42, rg: int | None = None)
 
     work = p
     if rg < m:
-        rows = _select_rows(p, rg, seed=seed)
+        rows = _select_rows(p, rg)
         work = Pencil(p.a[rows], p.b[rows])
 
     rows_count = work.shape[0]

@@ -40,8 +40,9 @@ alone (elementwise products, one matrix-vector or dot kernel per row, one
 least-squares solve per row in a stacked LAPACK call), so the witnesses do
 not depend on the batching, bit for bit.
 
-A witness that annihilates both sides satisfies the equation for every λ and
-is reported once, with λ canonicalized to 0.
+A witness that annihilates both sides satisfies every λ; it is reported at
+each λ where the search finds it, and only a ξ found at two or more λ (and
+re-verified at λ = 0 and 1) is merged into one row at λ = 0, so tagged.
 
 :func:`iterate_least_squares` implements the alternating least-squares
 iteration: a closed-form λ update, projection of the current diagonal power
@@ -62,6 +63,7 @@ import numpy as np
 from .hypermatrix import Hypermatrix, IndexPartition, _reals, _whole
 from .hypervector import (
     DEFAULT_RECON_TOL,
+    TIE_TOL,
     MonicDecomposition,
     _decompose_rows,
     _leading,
@@ -391,10 +393,22 @@ def _is_number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
 
 
+def _check_tolerance(name: str, value) -> None:
+    """Raise ``ValueError`` unless option ``name`` is a finite, positive real number."""
+    if not _is_number(value, numbers.Real):
+        raise ValueError(f"option {name} must be a real number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"option {name} must be finite")
+    if value <= 0:
+        raise ValueError(f"option {name} must be positive")
+
+
 #: Tactic 2 scans two-vector kernel combinations up to this kernel dimension.
 _MAX_PAIR_KERNEL_DIM = 8
-#: The repeated component groups of a pencil vector agree to within this (max-norm).
-_TIE_TOL = 1e-9
 #: Witnesses whose pencil vectors ξ differ by at most this (max-norm) are one.
 _DEDUP_TOL = 1e-6
 #: A component moves between two witnesses when it changes by more than this.
@@ -415,11 +429,10 @@ _PAIR_ANGLES = 24
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """What counts as an eigenpair, and how the least-squares iteration runs."""
+    """The search's seed, what counts as an eigenpair, and how the least-squares iteration runs."""
 
     seed: int = 42
     residual_tol: float = 1e-9
-    recon_tol: float = DEFAULT_RECON_TOL
     eps: float = 1e-5
     max_iter: int = 200
 
@@ -430,18 +443,8 @@ class SolveOptions:
                 raise ValueError(f"option {name} must be an integer")
             if value < 0:
                 raise ValueError(f"option {name} must be non-negative")
-        for name in ("residual_tol", "recon_tol", "eps"):
-            value = getattr(self, name)
-            if not _is_number(value, numbers.Real):
-                raise ValueError(f"option {name} must be a real number")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
-                raise ValueError(f"option {name} must be finite")
-            if value <= 0:
-                raise ValueError(f"option {name} must be positive")
+        for name in ("residual_tol", "eps"):
+            _check_tolerance(name, getattr(self, name))
 
 
 # ---------------------------------------------------------------------------
@@ -667,18 +670,18 @@ def _sides(eq: _Equation, comps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.n
     return _matvecs(eq.a, _power(comps, eq.lhs)), _matvecs(eq.bt, _power(comps, eq.rhs))
 
 
-def _components_of(eq: _Equation, rows: np.ndarray, recon_tol: float) -> tuple[np.ndarray, list]:
+def _components_of(eq: _Equation, rows: np.ndarray) -> tuple[np.ndarray, list]:
     """Split pencil vectors ``ξ = x^xi``, one per row, into the case's components.
 
     A row splits when it decomposes over ``xi`` repeats of ``|case|`` factors
-    of dimension ``n``, the repeats agree to ``_TIE_TOL`` and the leading
+    of dimension ``n``, the repeats agree to ``TIE_TOL`` and the leading
     indices are the case.  Returns those rows' indices and components.
     """
     width = len(eq.case)
-    kept, _, _, comps = _decompose_rows(rows, (eq.n,) * (width * eq.xi), recon_tol)
+    kept, _, _, comps = _decompose_rows(rows, (eq.n,) * (width * eq.xi), DEFAULT_RECON_TOL)
     ok = np.ones(len(kept), dtype=bool)
     for j, c in enumerate(comps):
-        ok &= ~(np.max(np.abs(c - comps[j % width]), axis=1) > _TIE_TOL)
+        ok &= ~(np.max(np.abs(c - comps[j % width]), axis=1) > TIE_TOL)
     for c, anchor in zip(comps, eq.case):
         ok &= _leading(c) == anchor
     return kept[ok], [c[ok] for c in comps[:width]]
@@ -844,7 +847,7 @@ def _search_case(
         candidates = [kmat.T]
         if 2 <= kmat.shape[1] <= _MAX_PAIR_KERNEL_DIM:
             candidates.append(_pair_combinations(kmat))
-        rows, comps = _components_of(eq, np.vstack(candidates), opts.recon_tol)
+        rows, comps = _components_of(eq, np.vstack(candidates))
         add(_verify_rows(eq, comps, [lam] * rows.size, opts))
         if total_free:
             add(projected[k * _PROJ_STARTS : (k + 1) * _PROJ_STARTS])
@@ -1031,9 +1034,10 @@ def solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> SolveResult:
     Every anchor case's pencil is searched at its essential eigenvalues and
     at sampled quasi values; the kernel tactics and a free-λ Gauss–Newton
     refinement produce candidates, each verified against the original
-    equation at ``opts.residual_tol``.  Verified witnesses are deduplicated,
-    λ-free vectors are merged into one row, and one-parameter families are
-    probed and tagged.  An empty witness list is a valid outcome.
+    equation at ``opts.residual_tol``.  Verified witnesses are deduplicated, a
+    ξ verified at two or more λ is merged into one λ-free row, and
+    one-parameter families are probed and tagged.  An empty witness list is a
+    valid outcome.
     """
     opts = opts or SolveOptions()
     equations: dict[tuple[int, ...], _Equation] = {}
@@ -1041,8 +1045,8 @@ def solve(prob: UEigenProblem, opts: SolveOptions | None = None) -> SolveResult:
     witnesses: list[EigenWitness] = []
     for case in _cases(prob):
         eq = equations[case] = _case_equation(prob, case)
-        rg = generic_rank(eq.pencil, seed=opts.seed)
-        essential = essential_eigenvalues_real(eq.pencil, seed=opts.seed, rg=rg)
+        rg = generic_rank(eq.pencil)
+        essential = essential_eigenvalues_real(eq.pencil, rg=rg)
         facts.append(CaseFacts(case, eq.pencil, rg, tuple(essential)))
         witnesses.extend(_search_case(eq, essential, opts))
 
@@ -1272,12 +1276,8 @@ def options_from_dict(d: dict | None, **overrides) -> SolveOptions:
     """Merge a problem file's ``options`` object with explicit overrides."""
     if d is not None and not isinstance(d, dict):
         raise ValueError("problem options must be an object")
-    merged: dict = {}
-    if d:
-        known = set(SolveOptions.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown options: {sorted(unknown)}")
-        merged.update(d)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return SolveOptions(**merged)
+    unknown = set(d or ()) - set(SolveOptions.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown options: {sorted(unknown)}")
+    given = {k: v for k, v in overrides.items() if v is not None}
+    return SolveOptions(**{**(d or {}), **given})

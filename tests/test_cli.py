@@ -407,6 +407,23 @@ def test_text_format_rounds_to_four_decimals(tmp_path):
     assert "z=(0.0000, 1.0000, 0.0000)" in text
 
 
+def test_text_format_writes_tiny_and_huge_values_in_e_notation(tmp_path):
+    """A nonzero value that would print as 0.0000, or one of at least 1e6, gets ``.4e``."""
+    a = _matrix_file(tmp_path / "a.json", [[1e-8, 0.0, 0.0], [0.0, 1e-8, 0.0]])
+    b = _matrix_file(tmp_path / "b.json", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    code, text = _run(["pencil", a, b], tmp_path, structured=False)
+    assert code == 0
+    lines = text.splitlines()
+    assert "essential eigenvalues: 1.0000e-08" in lines
+    assert "lambda=1.0000e-08 class=essential kernel dim 2" in lines
+    code, text = _run(["pencil", a, b, "--at", "1e100", "--at", "0.5"], tmp_path, structured=False)
+    assert code == 0
+    lines = text.splitlines()
+    assert "lambda=1.0000e+100 class=quasi kernel dim 1" in lines
+    assert "lambda=0.5000 class=quasi kernel dim 1" in lines
+    assert "  (0.0000, 1.0000, 0.0000)" in lines  # exact zeros keep 4 decimals
+
+
 def test_structured_output_is_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     argv = ["solve", str(PROBLEMS / "ex_6_3_1.json"), "--format", "structured"]
@@ -489,6 +506,7 @@ def test_solve_reports_case_pencil_facts(tmp_path, name, mode, ranks, essential)
 
 REMOVED_SOLVER_KNOBS = {
     "quasi_probes", "newton_starts", "proj_starts", "newton_max_iter", "pair_angles", "rank_tol",
+    "recon_tol",
 }
 
 
@@ -579,6 +597,22 @@ def test_seed_comes_from_the_problem_file_unless_the_flag_is_given(tmp_path):
     assert outputs["flag wins"] == outputs["default"]
 
 
+SHIPPED_PROBLEMS = sorted(
+    p.name for p in PROBLEMS.glob("*.json") if "mode" in load_problem_dict(p.name)
+)
+
+
+@pytest.mark.parametrize("name", SHIPPED_PROBLEMS)
+def test_case_pencil_facts_do_not_depend_on_the_search_seed(tmp_path, name):
+    """Generic ranks, essential eigenvalues and their kernels are the same under ``--seed 7``."""
+    reports = []
+    for flags in ([], ["--seed", "7"]):
+        code, rep = _run(["solve", str(PROBLEMS / name), *flags], tmp_path)
+        assert code == 0
+        reports.append(rep["cases"])
+    assert reports[0] == reports[1]
+
+
 def _problem_with(hypermatrix=None, type_map=None):
     pd = load_problem_dict("ex_7_101.json")
     if hypermatrix is not None:
@@ -662,10 +696,14 @@ def test_malformed_problem_files_are_input_errors(tmp_path, problem):
         ["pencil", str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json"),
          "--rank-tol", "1e-9"],
         ["solve", str(PROBLEMS / "ex_6_3_1.json"), "--rank-tol", "1e-9"],
+        ["pencil", str(PROBLEMS / "ex_6_1_4_A.json"), str(PROBLEMS / "ex_6_1_4_B.json"),
+         "--seed", "1"],
+        ["solve", str(PROBLEMS / "ex_6_3_1.json"), "--recon-tol", "1e-8"],
     ],
     ids=[
         "top-level-seed", "top-level-format", "stp-eps", "iterate-rank-tol",
-        "solve-quasi-probes", "pencil-rank-tol", "solve-rank-tol",
+        "solve-quasi-probes", "pencil-rank-tol", "solve-rank-tol", "pencil-seed",
+        "solve-recon-tol",
     ],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
@@ -676,7 +714,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
 
 
 COMMON_FLAGS = {"--help", "--format", "--output"}
-SOLVER_FLAGS = {"--seed", "--residual-tol", "--recon-tol", "--eps", "--max-iter"}
+SOLVER_FLAGS = {"--seed", "--residual-tol", "--eps", "--max-iter"}
 
 
 @pytest.mark.parametrize(
@@ -688,16 +726,36 @@ SOLVER_FLAGS = {"--seed", "--residual-tol", "--recon-tol", "--eps", "--max-iter"
         ("flatten", COMMON_FLAGS | {"--rows", "--cols"}),
         ("contract", COMMON_FLAGS | {"--shared"}),
         ("decompose", COMMON_FLAGS | {"--dims", "--recon-tol"}),
-        ("pencil", COMMON_FLAGS | {"--at", "--seed"}),
+        ("pencil", COMMON_FLAGS | {"--at"}),
         ("solve", COMMON_FLAGS | SOLVER_FLAGS | {"--iterate", "--x0"}),
         ("iterate", COMMON_FLAGS | {"--x0", "--eps", "--max-iter"}),
     ],
 )
 def test_each_command_help_lists_exactly_its_flags(capsys, command, flags):
+    assert _help_flags(capsys, command) == flags
+
+
+def _help_flags(capsys, command=None):
+    """The flags that ``hypereig [command] --help`` lists."""
     argv = ["--help"] if command is None else [command, "--help"]
     assert cli.main(argv) == 0
-    out = capsys.readouterr().out
-    assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out)) == flags
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+
+
+def test_readme_flag_table_lists_exactly_each_commands_flags(capsys):
+    """README's "its own flags" table names every command and the flags its parser declares."""
+    readme = (PROBLEMS.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | its own flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        commands, flags = row.strip("|").split("|")
+        for command in re.findall(r"`(\w+)[^`]*`", commands):
+            documented[command] = set(re.findall(r"`(--[a-z0-9-]+)`", flags))
+    assert cli.main(["--help"]) == 0
+    choices = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(documented) == sorted(choices)
+    for command, flags in documented.items():
+        assert _help_flags(capsys, command) - COMMON_FLAGS == flags, command
 
 
 @pytest.mark.parametrize(
@@ -713,6 +771,7 @@ def test_each_command_help_lists_exactly_its_flags(capsys, command, flags):
         ("newton_max_iter", 60),
         ("pair_angles", 24),
         ("rank_tol", None),
+        ("recon_tol", 1e-8),
     ],
 )
 def test_removed_solver_knobs_are_unknown_options(tmp_path, capsys, knob, value):

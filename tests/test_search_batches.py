@@ -16,7 +16,7 @@ import pytest
 import hypereig as he
 from hypereig import pencil_eigen as pe
 from hypereig import u_eigen as ue
-from hypereig.hypervector import _decompose_rows, index_join
+from hypereig.hypervector import DEFAULT_RECON_TOL, TIE_TOL, _decompose_rows, index_join
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +93,14 @@ def _monic_decompose_one(x, dims, recon_tol):
     return e, c0, comps
 
 
-def _split_one(eq, v, recon_tol):
+def _split_one(eq, v):
     """One pencil vector split into the case's components, or None."""
     width = len(eq.case)
-    d = _monic_decompose_one(v, (eq.n,) * (width * eq.xi), recon_tol)
+    d = _monic_decompose_one(v, (eq.n,) * (width * eq.xi), DEFAULT_RECON_TOL)
     if d is None:
         return None
     comps = d[2]
-    if any(np.max(np.abs(c - comps[j % width])) > ue._TIE_TOL for j, c in enumerate(comps)):
+    if any(np.max(np.abs(c - comps[j % width])) > TIE_TOL for j, c in enumerate(comps)):
         return None
     try:
         on_case = tuple(_mu_one(c) for c in comps[:width]) == eq.case
@@ -150,12 +150,12 @@ def _search_case_one_at_a_time(eq, essential, opts):
             continue
         kmat = np.column_stack(basis)
         for v in basis:
-            comps = _split_one(eq, v, opts.recon_tol)
+            comps = _split_one(eq, v)
             if comps is not None:
                 add(comps, lam)
         if 2 <= kmat.shape[1] <= ue._MAX_PAIR_KERNEL_DIM:
             for w in _screen_one_at_a_time(kmat, eq.n, ue._PAIR_ANGLES):
-                comps = _split_one(eq, w, opts.recon_tol)
+                comps = _split_one(eq, w)
                 if comps is not None:
                     add(comps, lam)
         if total_free:
@@ -204,7 +204,7 @@ CASES = {
 def _case(name):
     prob, case = CASES[name]
     eq = ue._case_equation(prob, case)
-    essential = he.essential_eigenvalues_real(eq.pencil, seed=42)
+    essential = he.essential_eigenvalues_real(eq.pencil)
     return eq, essential
 
 
@@ -479,10 +479,10 @@ def test_batched_split_accepts_what_the_screen_and_split_accept(monkeypatch, ang
             want = [
                 (w, comps)
                 for w in _screen_one_at_a_time(kmat, eq.n, angles)
-                if (comps := _split_one(eq, w, 1e-8)) is not None
+                if (comps := _split_one(eq, w)) is not None
             ]
             combos = ue._pair_combinations(kmat)
-            rows, comps = ue._components_of(eq, combos, 1e-8)
+            rows, comps = ue._components_of(eq, combos)
             assert len(rows) == len(want)
             for i, (k, (w, ref)) in enumerate(zip(rows, want)):
                 assert np.array_equal(combos[k], w)

@@ -287,7 +287,7 @@ def test_component_split_requires_tied_groups():
     eq = he.u_eigen._case_equation(he.problem_from_dict(prob_d), (2,))
     x, y = np.array([0.0, 1.0, 0.5]), np.array([0.0, 1.0, -0.5])
     rows = np.stack([np.kron(x, x), np.kron(x, y), np.kron(x[::-1], x[::-1])])
-    kept, (split,) = he.u_eigen._components_of(eq, rows, 1e-8)
+    kept, (split,) = he.u_eigen._components_of(eq, rows)
     # Row 1 is untied; row 2 is case (1,).
     assert kept.tolist() == [0]
     assert np.array_equal(split[0], x)
